@@ -1,29 +1,20 @@
 """Lazy expression engine benchmark — JSON smoke bench.
 
-Two comparisons, both on R-MAT workloads:
+The paper's hot path ``A = Eoutᵀ ⊕.⊗ Ein`` on R-MAT workloads, from
+freshly loaded (dict-backed) incidence arrays:
 
-``incidence_to_adjacency``
-    The paper's hot path ``A = Eoutᵀ ⊕.⊗ Ein`` on freshly loaded
-    (dict-backed) incidence arrays:
+* ``eager_transpose_matmul`` — the pre-expr evaluation shape:
+  materialize ``Eoutᵀ`` as a new dict-backed associative array (dict
+  rebuild + constructor re-validation of every entry — what
+  ``transpose()`` did before the engine landed), then multiply.
+* ``fused_plan`` — ``evaluate(lazy(Eout).T.matmul(lazy(Ein)))``: the
+  optimizer fuses to one incidence-to-adjacency kernel that adopts
+  ``Eout``'s cached CSC as the transpose's CSR, so no transposed array
+  is ever materialized.
 
-    * ``eager_transpose_matmul`` — the pre-expr evaluation shape:
-      materialize ``Eoutᵀ`` as a new dict-backed associative array
-      (dict rebuild + constructor re-validation of every entry — what
-      ``transpose()`` did before the engine landed), then multiply.
-    * ``fused_plan`` — ``evaluate(lazy(Eout).T.matmul(lazy(Ein)))``:
-      the optimizer fuses to one incidence-to-adjacency kernel that
-      adopts ``Eout``'s cached CSC as the transpose's CSR, so no
-      transposed array is ever materialized.
-
-    Operands are rebuilt cold for every repeat (the serving-cold-start
-    shape: arrays fresh off TSV ingest), and both paths are asserted
-    equal.  The acceptance bar is fused ≥ 2× eager at 100k edges.
-
-``khop``
-    A 4-hop frontier query: the service's old looped Python
-    ``semiring_vecmat`` (re-indexing the adjacency dict every hop)
-    against the engine's fused hop chain (one expression, one shared
-    compiled adjacency leaf).
+Operands are rebuilt cold for every repeat (the serving-cold-start
+shape: arrays fresh off TSV ingest), and both paths are asserted equal.
+The acceptance bar is fused ≥ 2× eager at 100k edges.
 
 The JSON also embeds the ``explain()`` transcript of the fused plan —
 each applied rewrite with the verified properties that licensed it —
@@ -42,14 +33,12 @@ import time
 
 from repro.arrays.associative import AssociativeArray
 from repro.arrays.matmul import multiply
-from repro.expr import evaluate, khop_frontier, lazy, plan
-from repro.graphs.algorithms import semiring_vecmat
+from repro.expr import evaluate, lazy, plan
 from repro.graphs.generators import rmat_multigraph
 from repro.graphs.incidence import incidence_arrays
 from repro.values.semiring import get_op_pair
 
 PAIR_NAME = "plus_times"
-KHOP = 4
 
 
 def _operands(scale: int, n_edges: int, seed: int = 77):
@@ -92,32 +81,12 @@ def _timed_cold(fn, eout, ein, pair, repeat: int):
     return best, result
 
 
-def _khop_looped(adjacency, source, k, pair):
-    frontier = {source: pair.one}
-    for _ in range(k):
-        if not frontier:
-            break
-        frontier = semiring_vecmat(frontier, adjacency, pair)
-    return frontier
-
-
-def _timed(fn, repeat: int):
-    best, result = None, None
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - t0
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
-
-
 def run(quick: bool) -> dict:
     workloads = [(11, 10_000)]
     if not quick:
         workloads.append((14, 100_000))
     repeat = 2 if quick else 3
     rows = []
-    khop_rows = []
     explain_text = None
     for scale, n_edges in workloads:
         pair, eout, ein = _operands(scale, n_edges)
@@ -137,28 +106,6 @@ def run(quick: bool) -> dict:
             "speedup_fused_vs_eager": round(eager_s / fused_s, 3),
         })
 
-        # k-hop: fused chain vs looped Python vecmat on the same
-        # (square, warm) adjacency snapshot.
-        vertices = fused.row_keys.union(fused.col_keys)
-        square = fused.with_keys(vertices, vertices)
-        source = next(iter(square.rows_nonempty()))
-        loop_s, loop_front = _timed(
-            lambda: _khop_looped(square, source, KHOP, pair), repeat)
-        chain_s, chain_front = _timed(
-            lambda: khop_frontier(square, source, KHOP, pair), repeat)
-        assert chain_front == loop_front, (scale, n_edges)
-        khop_rows.append({
-            "scale": scale,
-            "n_edges": n_edges,
-            "k": KHOP,
-            "frontier_size": len(chain_front),
-            "seconds": {
-                "looped_vecmat": round(loop_s, 4),
-                "fused_chain": round(chain_s, 4),
-            },
-            "speedup_fused_vs_looped": round(loop_s / chain_s, 3),
-        })
-
         if explain_text is None:
             the_plan = plan(lazy(eout, "Eout").T.matmul(lazy(ein, "Ein"),
                                                         pair))
@@ -172,29 +119,20 @@ def run(quick: bool) -> dict:
     return {
         "benchmark": "bench_expr",
         "op_pair": PAIR_NAME,
-        "expression": "A = Eoutᵀ ⊕.⊗ Ein (fused); x·A⁴ (k-hop chain)",
+        "expression": "A = Eoutᵀ ⊕.⊗ Ein (fused)",
         "incidence_to_adjacency": rows,
-        "khop": khop_rows,
         "applied_rewrites": rewrites,
         "explain": explain_text.splitlines(),
-        "correct": True,   # both comparisons asserted equivalent
+        "correct": True,   # fused and eager asserted equal
     }
 
 
 def headline(report: dict) -> dict:
     """Gateable metrics for the ``repro bench`` harness."""
     return {
-        "fused_khop_seconds": {
-            "value": min(r["seconds"]["fused_chain"]
-                         for r in report["khop"]),
-            "direction": "lower", "unit": "s"},
         "speedup_fused_vs_eager": {
             "value": max(r["speedup_fused_vs_eager"]
                          for r in report["incidence_to_adjacency"]),
-            "direction": "higher", "unit": "x"},
-        "speedup_khop_fused_vs_looped": {
-            "value": max(r["speedup_fused_vs_looped"]
-                         for r in report["khop"]),
             "direction": "higher", "unit": "x"},
     }
 

@@ -18,7 +18,8 @@ only then does anything execute.  This example walks the surface:
 4. watch a rewrite get *refused*: ``(AB)ᵀ = BᵀAᵀ`` needs commutative
    ``⊗``, and ``max.concat`` fails the check with a concrete witness;
 5. run a 3-hop expression whose hops share one adjacency leaf after
-   common-subexpression elimination;
+   common-subexpression elimination, and check it against
+   :func:`repro.graphs.algorithms.khop_frontier`;
 6. route an over-budget plan through the out-of-core shard executor;
 7. build a ``min.+`` shortest-path plan and watch the kernel routing:
    the non-``+.×`` product rides the ``sortmerge`` kernel, the
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import repro
 from repro.expr import evaluate, explain, lazy, plan
+from repro.graphs.algorithms import khop_frontier
 from repro.graphs.generators import rmat_multigraph
 
 
@@ -80,12 +82,19 @@ def main() -> None:
     print("— a refused rewrite —")
     print(f"{line.rule}: {line.reason}\n")
 
-    # 5. A 3-hop chain: after CSE every hop shares one adjacency leaf.
+    # 5. A 3-hop chain: after CSE every hop shares one adjacency leaf,
+    #    and it matches the array-carried k-hop the query service runs.
     vertices = adjacency.row_keys.union(adjacency.col_keys)
     square = adjacency.with_keys(vertices, vertices)
     source = next(iter(square.rows_nonempty()))
-    from repro.expr import khop_frontier
+    seed = repro.AssociativeArray({("x", source): pair.one},
+                                  row_keys=["x"], col_keys=vertices)
+    chain = lazy(seed, "x")
+    for _ in range(3):
+        chain = chain.matmul(lazy(square, "A"), pair)
+    assert "(shared node" in explain(chain)
     frontier = khop_frontier(square, source, 3, pair)
+    assert {c: v for _r, c, v in evaluate(chain).entries()} == frontier
     print(f"3-hop frontier from {source!r}: {len(frontier)} vertices")
 
     # 6. Over-budget plans spill to the out-of-core shard engine.

@@ -27,9 +27,9 @@ be associative or commutative; ``⊗`` is always applied as
 The ``kernel`` argument selects an implementation: ``"generic"`` (pure
 Python, any value set), ``"sortmerge"`` (this module's vectorised
 semiring SpGEMM for *any* op-pair with ufunc forms), or the kernels of
-:mod:`repro.arrays.sparse_backend` (``"scipy"``, ``"reduceat"``,
-``"dense_blocked"``).  ``"auto"`` picks the fastest applicable one; all
-kernels are property-tested to agree with ``"generic"``.
+:mod:`repro.arrays.sparse_backend` (``"scipy"``, ``"dense_blocked"``).
+``"auto"`` picks the fastest applicable one; all kernels are
+property-tested to agree with ``"generic"``.
 
 The ``sortmerge`` kernel is the whole-catalog speed path: it joins A's
 cached CSC against B's cached CSR on the shared inner coordinate codes

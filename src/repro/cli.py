@@ -35,7 +35,7 @@
     JSON answer.
 ``trace --source ADJ.tsv`` / ``trace --id TRACE_ID [--url URL]``
     Run one traced k-hop query against a local source and print the
-    span tree (handler → cache → expr plan → kernels) — or fetch one
+    span tree (handler → cache → k-hop kernel) — or fetch one
     finished trace from a running server by id; a miss prints the
     structured "no such trace (ring evicted?)" error with the ring's
     retention bounds (see :mod:`repro.obs.trace`).  ``--list`` prints
@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="edge-key → shard assignment")
     p_build.add_argument("--kernel", default="auto",
                          choices=["auto", "generic", "scipy", "sortmerge",
-                                  "reduceat", "dense_blocked"],
+                                  "dense_blocked"],
                          help="multiply kernel")
     p_build.add_argument("--backend", default="auto",
                          choices=["auto", "dict", "numeric"],

@@ -12,9 +12,11 @@ incidence arrays).  This package provides:
 * :mod:`repro.graphs.generators` — seeded random multigraphs and random
   incidence values over arbitrary value domains;
 * :mod:`repro.graphs.algorithms` — downstream consumers of adjacency
-  arrays over semirings (BFS, SSSP, components, triangles).
+  arrays over semirings (k-hop frontiers, BFS, SSSP, components,
+  triangles).
 """
 
+from repro.graphs.algorithms import khop_frontier
 from repro.graphs.digraph import EdgeKeyedDigraph, GraphError
 from repro.graphs.incidence import (
     graph_from_incidence,
@@ -46,4 +48,5 @@ __all__ = [
     "star_graph",
     "complete_bipartite_graph",
     "random_incidence_values",
+    "khop_frontier",
 ]

@@ -6,6 +6,7 @@ the classic semiring formulations, consuming the
 :class:`~repro.arrays.associative.AssociativeArray` adjacency arrays this
 library constructs:
 
+* the vector–matrix product ``x ⊕.⊗ A`` and k-hop frontiers ``x ⊕.⊗ Aᵏ``;
 * BFS levels via repeated ``∨.∧`` vector-matrix products;
 * single-source shortest paths via ``min.+`` relaxation (Bellman–Ford);
 * widest ("maximum bottleneck") paths via ``max.min``;
@@ -14,21 +15,28 @@ library constructs:
 * degree arrays.
 
 Vectors are represented as plain ``{vertex: value}`` dicts with zeros
-elided, matching the sparse-array philosophy.
+elided, matching the sparse-array philosophy.  Internally every numeric
+``x ⊕.⊗ A`` runs through one array-carried kernel (:func:`_vxm`);
+multi-hop algorithms carry ``(index, value)`` arrays between hops and
+build a dict only at the API boundary.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Optional
+import operator
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.arrays.associative import AssociativeArray
 from repro.graphs.digraph import GraphError
+from repro.obs.trace import span
+from repro.values.equality import values_equal
 
 __all__ = [
     "semiring_vecmat",
+    "khop_frontier",
     "bfs_levels",
     "shortest_path_lengths",
     "widest_path_widths",
@@ -47,6 +55,112 @@ def _square_vertex_array(adj: AssociativeArray) -> None:
             "union first")
 
 
+# ---------------------------------------------------------------------------
+# x ⊕.⊗ A
+# ---------------------------------------------------------------------------
+
+def _vector_backend(adj: AssociativeArray, op_pair):
+    """The numeric backend :func:`_vxm` runs on, or ``None``.
+
+    ``None`` sends the caller to the per-edge reference loop:
+    ufunc-less or non-numeric op-pairs, NaN zeros, arrays holding
+    non-numeric values, and dict-backed arrays below the promotion
+    threshold (converting them would cost more than the loop).
+    """
+    from repro.arrays.backend import VECTORIZE_MIN_NNZ, usable_numeric_zero
+    if not (op_pair.has_ufuncs and op_pair.is_numeric):
+        return None
+    if not usable_numeric_zero(op_pair.zero):
+        return None
+    if adj.backend != "numeric" and adj.nnz < VECTORIZE_MIN_NNZ:
+        return None
+    return adj.numeric_backend()
+
+
+#: Push while the frontier's out-edges number at most 1/PUSH_FRACTION of
+#: ``A``'s entries; pull beyond (measured crossover on R-MAT graphs).
+PUSH_FRACTION = 4
+
+
+def _vxm(nb, idx: np.ndarray, xv: np.ndarray,
+         op_pair) -> Tuple[np.ndarray, np.ndarray]:
+    """``y = x ⊕.⊗ A`` on ``(index, value)`` arrays — the one numeric
+    vector–matrix product.
+
+    ``idx`` holds the frontier's distinct row positions in ascending
+    order and ``xv`` their values; returns the output's column
+    positions (ascending) and values, with the op-pair's zero elided.
+    Direction-optimising, as in Beamer et al.'s BFS: a sparse frontier
+    *pushes* — gathers its CSR rows, then stable-sorts the terms by
+    column — while a dense one *pulls* through the CSC view, masking
+    ``A``'s entries to the frontier's rows, so the work tracks the
+    frontier, not ``nnz(A)``.  Both leave each output column's terms
+    adjacent and in ascending row order — exactly the reference loop's
+    fold order — for one ``⊗`` ufunc call and a ``⊕`` fold per column
+    (:func:`~repro.arrays.matmul.fold_grouped`).
+    """
+    from repro.arrays.matmul import fold_grouped
+    data, indices, indptr = nb.csr()
+    starts = indptr[idx]
+    lens = indptr[idx + 1] - starts
+    total = int(lens.sum())
+    if total * PUSH_FRACTION <= nb.nnz:
+        ends = np.cumsum(lens)
+        pos = np.arange(total) + np.repeat(starts - (ends - lens), lens)
+        order = np.argsort(indices[pos], kind="stable")
+        pos = pos[order]
+        cols = indices[pos]
+        terms = op_pair.mul.ufunc(np.repeat(xv, lens)[order], data[pos])
+    else:
+        present = np.zeros(nb.shape[0], dtype=bool)
+        xvals = np.zeros(nb.shape[0], dtype=np.float64)
+        present[idx] = True
+        xvals[idx] = xv
+        col_data, row_idx, _col_ptr, perm = nb.csc()
+        keep = present[row_idx]
+        cols = nb.cols[perm[keep]]
+        terms = op_pair.mul.ufunc(xvals[row_idx[keep]], col_data[keep])
+    (cols,), vals = fold_grouped((cols,), terms, op_pair.add.ufunc)
+    nonzero = vals != float(op_pair.zero)
+    return cols[nonzero], vals[nonzero]
+
+
+def _frontier_arrays(vector: Dict[Any, Any], adj: AssociativeArray
+                     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``vector`` as ``(row position, value)`` arrays in row order; keys
+    outside the row key set are dropped.  ``None`` when a value is not
+    a number."""
+    from repro.arrays.backend import is_number
+    row_pos = adj.row_keys.position_map()
+    idx = []
+    xv = []
+    for k, v in vector.items():
+        p = row_pos.get(k)
+        if p is None:
+            continue
+        if not is_number(v):
+            return None
+        idx.append(p)
+        xv.append(float(v))
+    idx_arr = np.asarray(idx, dtype=np.int64)
+    order = np.argsort(idx_arr)
+    return idx_arr[order], np.asarray(xv, dtype=np.float64)[order]
+
+
+def _as_dict(idx: np.ndarray, vals: np.ndarray, keys) -> Dict[Any, Any]:
+    """``{keys[i]: value}`` with one float object per distinct value.
+
+    Answers repeat values heavily (path lengths are small sums of
+    weights), and a served answer may sit in the query cache, so
+    sharing them shrinks what it holds.  Distinctness is by bit
+    pattern, which keeps ``-0.0`` apart from ``0.0``.
+    """
+    bits, inverse = np.unique(vals.view(np.int64), return_inverse=True)
+    shared = bits.view(np.float64).tolist()
+    return dict(zip(map(keys.keys().__getitem__, idx.tolist()),
+                    map(shared.__getitem__, inverse.tolist())))
+
+
 def semiring_vecmat(
     vector: Dict[Any, Any],
     adj: AssociativeArray,
@@ -55,19 +169,21 @@ def semiring_vecmat(
     """``y = x ⊕.⊗ A``: sparse vector–matrix product over an op-pair.
 
     ``y(j) = ⊕_i x(i) ⊗ A(i, j)`` folded in row-key order; entries equal
-    to the op-pair's zero are elided.
+    to the op-pair's zero are elided.  Keys of ``vector`` outside
+    ``adj``'s row key set are ignored.
 
-    For ufunc op-pairs over a numeric-backed adjacency the relaxation
-    is fully vectorised (:func:`_vecmat_vectorized`): one gather of the
-    frontier values through the cached CSC view, one ``⊗`` ufunc call,
-    and a ``⊕`` group-fold with ``ufunc.reduceat`` — the dense-frontier
-    hot path of the serve k-hop / path-length queries.  Everything else
-    (exotic value sets, ufunc-less ops, tiny dict-backed arrays) takes
-    the per-edge reference loop below.
+    For ufunc op-pairs over a numeric-backed adjacency the product runs
+    through the array-carried kernel (:func:`_vxm`), with dicts only
+    at this boundary.  Everything else (exotic value sets, ufunc-less
+    ops, NaN zeros, tiny dict-backed arrays) takes the per-edge
+    reference loop below.
     """
-    fast = _vecmat_vectorized(vector, adj, op_pair)
-    if fast is not None:
-        return fast
+    if not vector:
+        return {}
+    nb = _vector_backend(adj, op_pair)
+    arrays = _frontier_arrays(vector, adj) if nb is not None else None
+    if arrays is not None:
+        return _as_dict(*_vxm(nb, *arrays, op_pair), adj.col_keys)
     terms: Dict[Any, list] = {}
     row_order = {k: i for i, k in enumerate(adj.row_keys)}
     items = sorted(((i, v) for i, v in vector.items() if i in row_order),
@@ -86,69 +202,47 @@ def semiring_vecmat(
     return out
 
 
-def _vecmat_vectorized(
-    vector: Dict[Any, Any],
+def khop_frontier(
     adj: AssociativeArray,
+    source: Any,
+    k: int,
     op_pair,
-) -> Optional[Dict[Any, Any]]:
-    """Vectorised ``x ⊕.⊗ A`` relaxation, or ``None`` when inapplicable.
+) -> Dict[Any, Any]:
+    """The k-hop frontier ``x ⊕.⊗ Aᵏ`` from ``x = {source: 1}``.
 
-    Shares the sortmerge kernel's grouping helper
-    (:func:`repro.arrays.matmul.fold_grouped`): the CSC view orders
-    ``A``'s entries by (col, row), so after masking to rows the frontier
-    actually stores, each output column's terms sit adjacent and in
-    ascending row order — exactly the reference loop's fold order — and
-    one ``reduceat`` folds ``⊕`` per column.  Bails out (``None``) on
-    ufunc-less or non-numeric op-pairs, NaN zeros, non-numeric frontier
-    values, and dict-backed adjacencies below the promotion threshold.
+    ``k = 0`` returns the seed itself.  Over a square numeric-backed
+    adjacency the frontier stays as ``(index, value)`` arrays from hop
+    to hop (:func:`_vxm`), and stops early once it empties.  Other
+    inputs loop :func:`semiring_vecmat`; so do degenerate algebras
+    whose ``1`` equals their ``0``, where the seed vector is not
+    sparse-representable.  A ``source`` outside the row key set reaches
+    nothing.
     """
-    from repro.arrays.backend import (
-        VECTORIZE_MIN_NNZ,
-        is_number,
-        usable_numeric_zero,
-    )
-    from repro.arrays.matmul import fold_grouped
-    if not vector:
+    if k < 0:
+        raise GraphError(f"k must be >= 0, got {k}")
+    frontier = {source: op_pair.one}
+    if k == 0:
+        return frontier
+    nb = _vector_backend(adj, op_pair)
+    if (nb is None or values_equal(op_pair.one, op_pair.zero)
+            or adj.row_keys != adj.col_keys):
+        with span("graphs.khop", k=k, kernel="vecmat_loop"):
+            for _ in range(k):
+                if not frontier:
+                    break
+                frontier = semiring_vecmat(frontier, adj, op_pair)
+        return frontier
+    pos = adj.row_keys.position_map().get(source)
+    if pos is None:
         return {}
-    if not (op_pair.has_ufuncs and op_pair.is_numeric):
-        return None
-    if not usable_numeric_zero(op_pair.zero):
-        return None
-    if adj.backend != "numeric" and adj.nnz < VECTORIZE_MIN_NNZ:
-        return None
-    nb = adj.numeric_backend()
-    if nb is None:
-        return None
-    row_pos = adj.row_keys.position_map()
-    idx = []
-    xv = []
-    for k, v in vector.items():
-        p = row_pos.get(k)
-        if p is None:
-            continue
-        if not is_number(v):
-            return None
-        idx.append(p)
-        xv.append(float(v))
-    if not idx:
-        return {}
-
-    present = np.zeros(nb.shape[0], dtype=bool)
-    xvals = np.zeros(nb.shape[0], dtype=np.float64)
-    present[idx] = True
-    xvals[idx] = xv
-    data, row_idx, _indptr, perm = nb.csc()
-    keep = present[row_idx]
-    if not keep.any():
-        return {}
-    terms = op_pair.mul.ufunc(xvals[row_idx[keep]], data[keep])
-    (grp_cols,), reduced = fold_grouped(
-        (nb.cols[perm][keep],), terms, op_pair.add.ufunc)
-    zero = float(op_pair.zero)
-    col_keys = tuple(adj.col_keys)
-    return {col_keys[c]: v
-            for c, v in zip(grp_cols.tolist(), reduced.tolist())
-            if v != zero}
+    idx = np.array([pos], dtype=np.int64)
+    vals = np.array([float(op_pair.one)])
+    with span("graphs.khop", k=k, kernel="vxm"):
+        for _ in range(k):
+            if not idx.size:
+                break
+            idx, vals = _vxm(nb, idx, vals, op_pair)
+    return _as_dict(idx, vals, adj.col_keys)
 
 
 def bfs_levels(
@@ -184,41 +278,65 @@ def bfs_levels(
     return levels
 
 
+def _relax(adj: AssociativeArray, source: Any, pair_name: str,
+           seed: float, improves: Callable[[Any, Any], Any],
+           missing: float) -> Dict[Any, float]:
+    """Bellman–Ford-style relaxation to a fixpoint (≤ |V| rounds).
+
+    Each round computes ``r = d ⊕.⊗ A`` over the op-pair ``pair_name``
+    from every vertex reached so far, and keeps ``r(v)`` wherever
+    ``improves(r(v), d(v))`` (an unreached vertex counts as
+    ``missing``).  Over a numeric-backed adjacency ``d`` lives in one
+    dense array and each round is one :func:`_vxm`; otherwise each
+    round is a reference :func:`semiring_vecmat` on dicts.
+    """
+    _square_vertex_array(adj)
+    if source not in adj.row_keys:
+        raise GraphError(f"source {source!r} not a vertex")
+    from repro.values.semiring import get_op_pair
+    op_pair = get_op_pair(pair_name)
+    n = len(adj.row_keys)
+    nb = _vector_backend(adj, op_pair)
+    if nb is None:
+        best = {source: seed}
+        with span("graphs.relax", pair=pair_name, kernel="reference"):
+            for _ in range(n):
+                relaxed = semiring_vecmat(best, adj, op_pair)
+                better = {v: d for v, d in relaxed.items()
+                          if improves(d, best.get(v, missing))}
+                if not better:
+                    break
+                best.update(better)
+        return best
+    values = np.full(n, missing, dtype=np.float64)
+    reached = np.zeros(n, dtype=bool)
+    start = adj.row_keys.index(source)
+    values[start] = seed
+    reached[start] = True
+    with span("graphs.relax", pair=pair_name, kernel="vxm"):
+        for _ in range(n):
+            idx = np.flatnonzero(reached)
+            cols, vals = _vxm(nb, idx, values[idx], op_pair)
+            better = improves(vals, values[cols])
+            if not better.any():
+                break
+            values[cols[better]] = vals[better]
+            reached[cols[better]] = True
+    idx = np.flatnonzero(reached)
+    return _as_dict(idx, values[idx], adj.row_keys)
+
+
 def shortest_path_lengths(
     adj: AssociativeArray,
     source: Any,
-    *,
-    vecmat: Callable[[Dict[Any, Any], AssociativeArray, Any],
-                     Dict[Any, Any]] = semiring_vecmat,
 ) -> Dict[Any, float]:
     """Single-source shortest path lengths by ``min.+`` relaxation.
 
     ``adj`` holds non-negative edge weights (parallel edges should already
     be collapsed, e.g. by constructing the adjacency array over ``min.+``).
     Runs Bellman–Ford-style rounds until fixpoint (≤ |V| rounds).
-    ``vecmat`` swaps the relaxation product implementation — the query
-    service passes :func:`repro.expr.vecmat` so each round runs on the
-    snapshot's compiled backend instead of this module's reference
-    Python fold.
     """
-    _square_vertex_array(adj)
-    if source not in adj.row_keys:
-        raise GraphError(f"source {source!r} not a vertex")
-    from repro.values.semiring import get_op_pair
-    min_plus = get_op_pair("min_plus")
-    dist: Dict[Any, float] = {source: 0.0}
-    for _ in range(len(adj.row_keys)):
-        relaxed = vecmat(dist, adj, min_plus)
-        new = dict(dist)
-        changed = False
-        for v, d in relaxed.items():
-            if d < new.get(v, math.inf):
-                new[v] = d
-                changed = True
-        dist = new
-        if not changed:
-            break
-    return dist
+    return _relax(adj, source, "min_plus", 0.0, operator.lt, math.inf)
 
 
 def widest_path_widths(
@@ -231,24 +349,7 @@ def widest_path_widths(
     target, "the largest of all the shortest connections".  The source has
     width +∞ by convention.
     """
-    _square_vertex_array(adj)
-    if source not in adj.row_keys:
-        raise GraphError(f"source {source!r} not a vertex")
-    from repro.values.semiring import get_op_pair
-    max_min = get_op_pair("max_min")
-    width: Dict[Any, float] = {source: math.inf}
-    for _ in range(len(adj.row_keys)):
-        relaxed = semiring_vecmat(width, adj, max_min)
-        new = dict(width)
-        changed = False
-        for v, w in relaxed.items():
-            if w > new.get(v, 0.0):
-                new[v] = w
-                changed = True
-        width = new
-        if not changed:
-            break
-    return width
+    return _relax(adj, source, "max_min", math.inf, operator.gt, 0.0)
 
 
 def weakly_connected_components(adj: AssociativeArray) -> Dict[Any, int]:

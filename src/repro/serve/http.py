@@ -38,7 +38,7 @@ The golden path for serving without importing library internals:
 is exactly what the snapshot-isolation design is for: every request
 reads one immutable snapshot reference and never blocks on ingest.
 Each query request opens a root span on the service's tracer, so the
-whole handler → cache → expr-plan → kernel path of one HTTP request is
+whole handler → cache → k-hop kernel path of one HTTP request is
 a single trace tree.
 
 Errors come back as JSON bodies ``{"error": ..., "status": ...}`` —

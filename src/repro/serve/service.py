@@ -40,8 +40,7 @@ from repro.arrays.associative import AssociativeArray
 from repro.arrays.io import iter_tsv_triples
 from repro.core.certify import Certification, certify
 from repro.core.streaming import StreamingAdjacencyBuilder
-from repro.expr import khop_frontier, vecmat
-from repro.graphs.algorithms import shortest_path_lengths
+from repro.graphs.algorithms import khop_frontier, shortest_path_lengths
 from repro.graphs.digraph import GraphError
 from repro.obs.events import emit_event
 from repro.obs.loadgen import WorkloadRecorder
@@ -572,10 +571,6 @@ class AdjacencyService:
 
             def compute():
                 snapshot.require_vertex(vertex)
-                # One fused expression for the whole hop chain: after
-                # common-subexpression elimination every hop shares the
-                # snapshot's adjacency leaf (and its compiled backend)
-                # instead of re-indexing the array per Python vecmat.
                 return khop_frontier(snapshot.adjacency, vertex, k, pair)
             return compute, (snapshot.epoch, kind, vertex, k, pair.name)
         if kind == "path_lengths":
@@ -584,11 +579,7 @@ class AdjacencyService:
 
             def compute():
                 snapshot.require_vertex(vertex)
-                # Each min.+ relaxation round runs through the engine
-                # on the snapshot's compiled backend instead of the
-                # reference Python fold.
-                return shortest_path_lengths(snapshot.adjacency, vertex,
-                                             vecmat=vecmat)
+                return shortest_path_lengths(snapshot.adjacency, vertex)
             return compute, (snapshot.epoch, kind, vertex)
         if kind == "top_k":
             k = self._nonneg_int(params, "k", default=10)

@@ -13,6 +13,7 @@ from repro.core.construction import adjacency_array
 from repro.graphs.algorithms import (
     bfs_levels,
     in_degrees,
+    khop_frontier,
     out_degrees,
     semiring_vecmat,
     shortest_path_lengths,
@@ -190,6 +191,57 @@ class TestDegreesAndVecmat:
         adj = _square_adjacency(graph, "plus_times", {"e000": 2.0})
         y = semiring_vecmat({"c": 1.0}, adj, get_op_pair("plus_times"))
         assert y == {}
+
+
+class TestKhopFrontier:
+    PAIR = get_op_pair("plus_times")
+
+    @staticmethod
+    def _small(data, keys):
+        return AssociativeArray(data, row_keys=keys, col_keys=keys)
+
+    def test_khop_zero_hops_and_degenerate_pair(self):
+        a = self._small({("a", "b"): 1.0}, ["a", "b"])
+        assert khop_frontier(a, "a", 0, self.PAIR) == {"a": self.PAIR.one}
+        # nonneg_max_plus has one == zero: falls back to the loop.
+        degenerate = get_op_pair("nonneg_max_plus")
+        assert khop_frontier(a, "a", 1, degenerate) == \
+            semiring_vecmat({"a": degenerate.one}, a, degenerate)
+
+    def test_negative_k_rejected(self):
+        a = self._small({("a", "b"): 1.0}, ["a", "b"])
+        with pytest.raises(GraphError, match="k must be"):
+            khop_frontier(a, "a", -1, self.PAIR)
+
+    def test_500_hop_cycle(self):
+        a = self._small({("a", "b"): 1.0, ("b", "a"): 1.0}, ["a", "b"])
+        for backend in ("numeric", "dict"):
+            frontier = khop_frontier(a.with_backend(backend), "a", 500,
+                                     self.PAIR)
+            assert frontier == {"a": 1.0}     # even-length cycle walk
+
+    def test_emptied_frontier_hops_are_cheap(self):
+        # b is a dead end: the frontier empties after one hop, and the
+        # remaining 254 hops must stop early.
+        a = self._small({("a", "b"): 2.0}, ["a", "b"])
+        import time
+        for backend in ("numeric", "dict"):
+            t0 = time.perf_counter()
+            assert khop_frontier(a.with_backend(backend), "b", 255,
+                                 self.PAIR) == {}
+            assert time.perf_counter() - t0 < 2.0
+
+    def test_source_outside_rows_reaches_nothing(self):
+        a = self._small({("a", "b"): 2.0}, ["a", "b"])
+        for backend in ("numeric", "dict"):
+            assert khop_frontier(a.with_backend(backend), "zz", 2,
+                                 self.PAIR) == {}
+
+    def test_non_square_matches_looped_vecmat(self):
+        a = AssociativeArray({("a", "b"): 2.0, ("b", "c"): 3.0},
+                             row_keys=["a", "b"], col_keys=["b", "c"])
+        numeric = a.with_backend("numeric")
+        assert khop_frontier(numeric, "a", 2, self.PAIR) == {"c": 6.0}
 
 
 class TestDegreesBackends:

@@ -15,10 +15,8 @@ from repro.expr import (
     REDUCE_KEY,
     evaluate,
     explain,
-    khop_frontier,
     lazy,
     plan,
-    vecmat,
 )
 from repro.expr.ast import IncidenceToAdjacency, Leaf, MatMul, Transpose
 from repro.graphs.algorithms import semiring_vecmat
@@ -142,15 +140,11 @@ class TestEquivalence:
         frontier = {source: PAIR.one}
         for _ in range(3):
             frontier = semiring_vecmat(frontier, a, PAIR)
-        assert khop_frontier(a, source, 3, PAIR) == frontier
-
-    def test_khop_zero_hops_and_degenerate_pair(self):
-        a = _small({("a", "b"): 1.0}, ["a", "b"], ["a", "b"])
-        assert khop_frontier(a, "a", 0, PAIR) == {"a": PAIR.one}
-        # nonneg_max_plus has one == zero: falls back to the loop.
-        degenerate = get_op_pair("nonneg_max_plus")
-        assert khop_frontier(a, "a", 1, degenerate) == \
-            semiring_vecmat({"a": degenerate.one}, a, degenerate)
+        expr = lazy(_vector({source: PAIR.one}, vertices), "x")
+        al = lazy(a, "A")
+        for _ in range(3):
+            expr = expr.matmul(al, PAIR)
+        assert _as_vector(evaluate(expr)) == frontier
 
     def test_vecmat_matches_reference(self):
         eout, ein = _music_like(scale=6, edges=150)
@@ -158,7 +152,17 @@ class TestEquivalence:
         vertices = a.row_keys.union(a.col_keys)
         a = a.with_keys(vertices, vertices)
         vec = {v: float(i + 1) for i, v in enumerate(list(vertices)[:5])}
-        assert vecmat(vec, a, PAIR) == semiring_vecmat(vec, a, PAIR)
+        expr = lazy(_vector(vec, vertices), "x").matmul(lazy(a, "A"), PAIR)
+        assert _as_vector(evaluate(expr)) == semiring_vecmat(vec, a, PAIR)
+
+
+def _vector(vec, keys):
+    """A 1×n array over ``keys`` holding ``vec`` in its single row."""
+    return _small({("·", k): v for k, v in vec.items()}, ["·"], keys)
+
+
+def _as_vector(array):
+    return {c: v for _r, c, v in array.entries()}
 
 
 def frozenset_keys(keys):
@@ -391,23 +395,27 @@ class TestDeepChains:
     def test_500_hop_chain_plans_explains_and_runs(self):
         a = _small({("a", "b"): 1.0, ("b", "a"): 1.0}, ["a", "b"],
                    ["a", "b"])
-        frontier = khop_frontier(a, "a", 500, PAIR)
-        assert frontier == {"a": 1.0}     # even-length cycle walk
         al = lazy(a, "A")
-        expr = lazy(_small({("·", "a"): 1.0}, ["·"], ["a", "b"]), "x")
+        expr = lazy(_vector({"a": 1.0}, ["a", "b"]), "x")
         for _ in range(500):
             expr = expr.matmul(al, PAIR)
         text = explain(expr)
         assert "(shared node" in text      # the chain shares one A leaf
+        # even-length cycle walk
+        assert _as_vector(evaluate(expr)) == {"a": 1.0}
 
     def test_emptied_frontier_hops_are_cheap(self):
         # b is a dead end: the frontier empties after one hop, and the
         # remaining 254 products must short-circuit (runtime emptiness,
         # invisible to static dead-branch pruning).
         a = _small({("a", "b"): 2.0}, ["a", "b"], ["a", "b"])
+        al = lazy(a, "A")
+        expr = lazy(_vector({"b": 1.0}, ["a", "b"]), "x")
+        for _ in range(255):
+            expr = expr.matmul(al, PAIR)
         import time
         t0 = time.perf_counter()
-        assert khop_frontier(a, "b", 255, PAIR) == {}
+        assert evaluate(expr).nnz == 0
         assert time.perf_counter() - t0 < 2.0
 
 
