@@ -37,6 +37,7 @@ from repro.arrays.backend import (
     NumericBackend,
     dict_to_numeric,
     embed_lookup,
+    numeric_values,
     usable_numeric_zero,
 )
 from repro.arrays.keys import KeyError_, KeySet, Selector
@@ -46,6 +47,14 @@ __all__ = ["AssociativeArray"]
 
 #: Cache sentinel: "we tried to promote to numeric storage and could not".
 _NO_NUMERIC = object()
+
+
+def _positions(keys: Sequence[Any], key_set: KeySet) -> np.ndarray:
+    """int64 positions of ``keys`` in ``key_set`` (``KeyError`` for a
+    key outside it)."""
+    pos = key_set.position_map()
+    return np.fromiter(map(pos.__getitem__, keys), dtype=np.int64,
+                       count=len(keys))
 
 
 class AssociativeArray:
@@ -319,6 +328,81 @@ class AssociativeArray:
                 data[key] = v
         return cls(data, row_keys=row_keys, col_keys=col_keys, zero=zero,
                    backend=backend)
+
+    @classmethod
+    def from_columns(
+        cls,
+        rows: Sequence[Any],
+        cols: Sequence[Any],
+        vals: Sequence[Any],
+        *,
+        row_keys: Union[KeySet, Iterable[Any], None] = None,
+        col_keys: Union[KeySet, Iterable[Any], None] = None,
+        zero: Any = 0,
+        combine: Optional[Callable[[Any, Any], Any]] = None,
+        backend: str = "auto",
+    ) -> "AssociativeArray":
+        """Build from parallel ``rows``/``cols``/``vals`` columns.
+
+        The result equals ``from_triples(zip(rows, cols, vals), ...)``
+        with the same arguments (GraphBLAS's ``GrB_Matrix_build``: a
+        matrix from tuple *arrays*).  When the zero and every value are
+        plain numbers (ints exactly representable in float64) and no
+        coordinate repeats, the columnar storage is built directly —
+        key positions by one lookup sweep, one lexsort — so no
+        ``{(row, col): value}`` dict is ever built.  Otherwise the
+        columns go through :meth:`from_triples`, whose errors and
+        ``combine`` fold are unchanged.  Under ``backend="auto"``,
+        columns shorter than :data:`VECTORIZE_MIN_NNZ` keep dict
+        storage, so small arrays hold their exact Python value types
+        just as the vectorised kernels' size bailout preserves them.
+        """
+        if backend not in BACKEND_KINDS:
+            raise KeyError_(
+                f"unknown backend {backend!r}; use one of {BACKEND_KINDS}")
+        # Key sets may be read twice (numeric attempt, then fallback).
+        if isinstance(row_keys, Iterator):
+            row_keys = list(row_keys)
+        if isinstance(col_keys, Iterator):
+            col_keys = list(col_keys)
+        if backend == "numeric" or (backend == "auto"
+                                    and len(vals) >= VECTORIZE_MIN_NNZ):
+            built = cls._columnar(rows, cols, vals, row_keys, col_keys,
+                                  zero)
+            if built is not None:
+                return built
+        return cls.from_triples(zip(rows, cols, vals), row_keys=row_keys,
+                                col_keys=col_keys, zero=zero,
+                                combine=combine, backend=backend)
+
+    @classmethod
+    def _columnar(cls, rows, cols, vals, row_keys, col_keys,
+                  zero) -> Optional["AssociativeArray"]:
+        """:meth:`from_columns`' numeric path; ``None`` when the dict
+        path must decide (non-numeric values or zero, a key outside the
+        given key sets, a duplicate coordinate, unorderable keys)."""
+        if not usable_numeric_zero(zero):
+            return None
+        values = numeric_values(vals)
+        if values is None:
+            return None
+        try:
+            rk = KeySet.coerce(rows if row_keys is None else row_keys)
+            ck = KeySet.coerce(cols if col_keys is None else col_keys)
+            r = _positions(rows, rk)
+            c = _positions(cols, ck)
+        except (KeyError, KeyError_, TypeError):
+            return None
+        order = np.lexsort((c, r))
+        r, c, values = r[order], c[order], values[order]
+        if bool(((r[1:] == r[:-1]) & (c[1:] == c[:-1])).any()):
+            return None
+        keep = values != float(zero)
+        if not bool(keep.all()):
+            r, c, values = r[keep], c[keep], values[keep]
+        be = NumericBackend(r, c, values, (len(rk), len(ck)),
+                            presorted=True)
+        return cls._adopt(be, rk, ck, zero)
 
     @classmethod
     def from_dense(

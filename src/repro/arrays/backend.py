@@ -44,7 +44,7 @@ key-position remapping (re-embedding, selection).
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,6 +56,7 @@ __all__ = [
     "is_number",
     "float64_exact",
     "usable_numeric_zero",
+    "numeric_values",
     "dict_to_numeric",
     "embed_lookup",
     "union_apply",
@@ -249,30 +250,14 @@ class NumericBackend:
         self._dict = None
 
 
-def dict_to_numeric(
-    data: Dict[Tuple[Any, Any], Any],
-    row_positions: Dict[Any, int],
-    col_positions: Dict[Any, int],
-    shape: Tuple[int, int],
-) -> Optional[NumericBackend]:
-    """Convert dict storage to columnar form; ``None`` if any value is
-    not a plain number — or is an int too large for float64 to hold
-    exactly (the caller falls back to the dict path either way).
+def numeric_values(values: List[Any]) -> Optional[np.ndarray]:
+    """``values`` as a float64 array; ``None`` if any value is not a
+    plain number — or is an int too large for float64 to hold exactly.
 
-    Promotion sits on the critical path of every cold vectorised
-    operation (the expression engine's fused kernels promote freshly
-    ingested arrays before their first product), so the conversion is
-    staged for bulk speed: one C-level pass per column instead of
-    per-entry scalar stores, with the plain-number type gate as a
-    single predicate sweep and the 2⁵³ exactness audit only for the
-    (rare) entries whose magnitude makes it relevant.
+    Staged for bulk speed: the plain-number type gate is a single
+    predicate sweep, and the 2⁵³ exactness audit only visits the (rare)
+    values whose magnitude makes it relevant.
     """
-    nnz = len(data)
-    if nnz == 0:
-        return NumericBackend(np.empty(0, dtype=np.int64),
-                              np.empty(0, dtype=np.int64),
-                              np.empty(0, dtype=np.float64), shape)
-    values = list(data.values())
     # Type gate: one C-level pass over the concrete types.  Exactly
     # {int, float} passes outright; anything else (bools — their own
     # algebra —, numpy scalars, Decimals, exotica) drops to the precise
@@ -293,6 +278,31 @@ def dict_to_numeric(
         for i in np.flatnonzero(big).tolist():
             if not float64_exact(values[i]):
                 return None
+    return vals
+
+
+def dict_to_numeric(
+    data: Dict[Tuple[Any, Any], Any],
+    row_positions: Dict[Any, int],
+    col_positions: Dict[Any, int],
+    shape: Tuple[int, int],
+) -> Optional[NumericBackend]:
+    """Convert dict storage to columnar form; ``None`` when
+    :func:`numeric_values` refuses the values (the caller falls back to
+    the dict path).
+
+    Promotion sits on the critical path of every cold vectorised
+    operation (the expression engine's fused kernels promote freshly
+    ingested arrays before their first product), so the conversion is
+    one C-level pass per column instead of per-entry scalar stores.
+    """
+    if not data:
+        return NumericBackend(np.empty(0, dtype=np.int64),
+                              np.empty(0, dtype=np.int64),
+                              np.empty(0, dtype=np.float64), shape)
+    vals = numeric_values(list(data.values()))
+    if vals is None:
+        return None
     rows = np.array([row_positions[r] for r, _c in data], dtype=np.int64)
     cols = np.array([col_positions[c] for _r, c in data], dtype=np.int64)
     return NumericBackend(rows, cols, vals, shape)

@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import os
+from contextlib import contextmanager
+from itertools import repeat
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.arrays.associative import AssociativeArray
 from repro.arrays.keys import KeyError_, KeySet
@@ -28,7 +31,12 @@ from repro.arrays.keys import KeyError_, KeySet
 __all__ = [
     "explode_table",
     "collapse_exploded",
+    "TSV_CHUNK_CHARS",
+    "TsvBlock",
+    "atomic_write",
+    "iter_tsv_blocks",
     "iter_tsv_triples",
+    "read_tsv_columns",
     "read_tsv_triples",
     "write_tsv_triples",
     "read_csv_table",
@@ -112,6 +120,34 @@ def collapse_exploded(
 #: Number of lines buffered per write in :func:`write_tsv_triples`.
 _WRITE_CHUNK = 16384
 
+#: Characters :func:`iter_tsv_blocks` decodes per block (about 1 MiB).
+#: One block's lines and field columns are the reader's whole working
+#: set, so this bounds ingest memory independently of the file size;
+#: 4 MiB blocks measurably raised a build's peak RSS without speeding
+#: it up.
+TSV_CHUNK_CHARS = 1 << 20
+
+
+@contextmanager
+def atomic_write(path: Union[str, Path], **open_kwargs):
+    """Open a temporary text file beside ``path`` for writing; on
+    success it replaces ``path`` in one ``os.replace``, on failure it
+    is removed.
+
+    Readers therefore see either the previous file or the complete new
+    one, never a partial write.  ``open_kwargs`` (``encoding``,
+    ``newline``) as for ``open``.
+    """
+    p = Path(path)
+    tmp = p.with_name(f".{p.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x", **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, p)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
 
 def write_tsv_triples(
     array: AssociativeArray,
@@ -124,11 +160,12 @@ def write_tsv_triples(
     Encoding streams straight off the array's storage backend —
     numeric-backed arrays iterate their lex-sorted columnar form, so no
     dict view is materialised and no Python-side sort runs — and lines
-    are flushed in chunks rather than per entry.
+    are flushed in chunks rather than per entry.  The file is written
+    through :func:`atomic_write`: a failed write leaves any existing
+    ``path`` untouched.
     """
-    p = Path(path)
     chunk: List[str] = []
-    with p.open("w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, encoding="utf-8", newline="") as fh:
         for r, c, v in array.entries():
             chunk.append(f"{r}\t{c}\t{value_formatter(v)}\n")
             if len(chunk) >= _WRITE_CHUNK:
@@ -138,32 +175,112 @@ def write_tsv_triples(
             fh.write("".join(chunk))
 
 
-def iter_tsv_triples(
+class TsvBlock(NamedTuple):
+    """One block of well-formed ``row<TAB>col<TAB>value`` lines, with
+    the fields split into columns (index ``i`` of every list is one
+    line)."""
+
+    lines: List[str]
+    """The lines, without line ends (blank lines are dropped)."""
+    rows: List[str]
+    cols: List[str]
+    texts: List[str]
+    """The value fields as written."""
+    vals: List[Any]
+    """The value fields parsed (see :func:`read_tsv_triples`)."""
+
+
+def iter_tsv_blocks(
     path: Union[str, Path],
     *,
     value_parser=None,
-):
-    """Stream ``row<TAB>col<TAB>value`` lines as ``(row, col, value)``.
+) -> Iterator[TsvBlock]:
+    """Read a TSV-triple file as column blocks of bounded size.
 
-    The file is read one line at a time — this is the out-of-core ingest
-    path (:mod:`repro.shard` routes these triples to shard files without
-    ever holding the whole array in memory).  ``value_parser`` as in
+    This is the one TSV parser: every triple ingest (array reads, the
+    shard partitioner and loader, the query service's source) goes
+    through it.  The file is decoded :data:`TSV_CHUNK_CHARS` characters
+    at a time, so memory is bounded by the block, not the file.  Each
+    line must hold exactly three tab-separated fields (blank lines are
+    skipped; ``\\r\\n`` and a missing final newline are accepted);
+    fields are split for the whole block at once.  A malformed line
+    raises :class:`KeyError_` naming ``file:line`` — after the
+    well-formed lines before it have been yielded, exactly as a
+    line-by-line reader would.  ``value_parser`` as in
     :func:`read_tsv_triples`.
     """
     parse = value_parser or _parse_scalar
     p = Path(path)
     with p.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise KeyError_(
-                    f"{p}:{lineno}: expected 3 tab-separated fields, "
-                    f"got {len(parts)}")
-            r, c, v = parts
-            yield r, c, parse(v)
+        consumed = 0  # lines before the current block
+        tail = ""
+        while True:
+            text = fh.read(TSV_CHUNK_CHARS)
+            if not text:
+                break
+            lines = (tail + text).split("\n")
+            tail = lines.pop()  # partial line: completed by the next read
+            yield from _split_block(p, lines, consumed, parse)
+            consumed += len(lines)
+        if tail:
+            yield from _split_block(p, [tail], consumed, parse)
+
+
+def _split_block(p: Path, lines: List[str], consumed: int,
+                 parse) -> Iterator[TsvBlock]:
+    tabs = list(map(str.count, lines, repeat("\t")))
+    bad = None
+    if tabs.count(2) != len(lines):
+        bad = next((i for i, (line, n) in enumerate(zip(lines, tabs))
+                    if n != 2 and line), None)
+        lines = [line for line, n in zip(lines[:bad], tabs) if n == 2]
+    if lines:
+        fields = "\t".join(lines).split("\t")
+        texts = fields[2::3]
+        if parse is _parse_scalar:
+            try:
+                vals = list(map(int, texts))
+            except ValueError:
+                vals = list(map(_parse_scalar, texts))
+        else:
+            vals = list(map(parse, texts))
+        yield TsvBlock(lines, fields[0::3], fields[1::3], texts, vals)
+    if bad is not None:
+        raise KeyError_(
+            f"{p}:{consumed + bad + 1}: expected 3 tab-separated fields, "
+            f"got {tabs[bad] + 1}")
+
+
+def read_tsv_columns(
+    path: Union[str, Path],
+    *,
+    value_parser=None,
+) -> Tuple[List[str], List[str], List[Any]]:
+    """The whole file as ``(rows, cols, values)`` columns (the
+    concatenated blocks of :func:`iter_tsv_blocks`)."""
+    rows: List[str] = []
+    cols: List[str] = []
+    vals: List[Any] = []
+    for block in iter_tsv_blocks(path, value_parser=value_parser):
+        rows += block.rows
+        cols += block.cols
+        vals += block.vals
+    return rows, cols, vals
+
+
+def iter_tsv_triples(
+    path: Union[str, Path],
+    *,
+    value_parser=None,
+) -> Iterator[Tuple[str, str, Any]]:
+    """Stream ``row<TAB>col<TAB>value`` lines as ``(row, col, value)``.
+
+    Reads through :func:`iter_tsv_blocks`, so memory stays bounded by
+    one block however large the file.  ``value_parser`` as in
+    :func:`read_tsv_triples`.
+    """
+    for block in iter_tsv_blocks(path, value_parser=value_parser):
+        yield from zip(block.rows, block.cols, block.vals)
 
 
 def read_tsv_triples(
@@ -180,12 +297,12 @@ def read_tsv_triples(
     ``value_parser`` converts the value text (default: int if possible,
     else float if possible, else the raw string).  ``backend`` selects
     the storage backend (``"numeric"`` compiles the columnar form
-    eagerly at ingest; see :class:`AssociativeArray`).
+    eagerly at ingest; see :class:`AssociativeArray`).  The array is
+    built column-wise (:meth:`AssociativeArray.from_columns`).
     """
-    triples: List[Tuple[str, str, Any]] = list(
-        iter_tsv_triples(path, value_parser=value_parser))
-    return AssociativeArray.from_triples(
-        triples, zero=zero, row_keys=row_keys, col_keys=col_keys,
+    rows, cols, vals = read_tsv_columns(path, value_parser=value_parser)
+    return AssociativeArray.from_columns(
+        rows, cols, vals, zero=zero, row_keys=row_keys, col_keys=col_keys,
         backend=backend)
 
 

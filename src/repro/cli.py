@@ -715,8 +715,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_explain(args) -> int:
     import time
-    from repro.arrays.associative import AssociativeArray
-    from repro.arrays.io import iter_tsv_triples
+    from repro.arrays.io import read_tsv_triples
     from repro.expr import lazy, plan
     from repro.values.semiring import SemiringError, get_op_pair
     try:
@@ -725,10 +724,8 @@ def _cmd_explain(args) -> int:
         print(exc, file=sys.stderr)
         return 2
     try:
-        eout = AssociativeArray.from_triples(
-            iter_tsv_triples(args.eout), zero=pair.zero)
-        ein = AssociativeArray.from_triples(
-            iter_tsv_triples(args.ein), zero=pair.zero)
+        eout = read_tsv_triples(args.eout, zero=pair.zero)
+        ein = read_tsv_triples(args.ein, zero=pair.zero)
     except (OSError, ValueError) as exc:
         print(f"cannot load incidence pair: {exc}", file=sys.stderr)
         return 2

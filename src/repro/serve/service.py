@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.arrays.associative import AssociativeArray
-from repro.arrays.io import iter_tsv_triples
+from repro.arrays.io import read_tsv_columns
 from repro.core.certify import Certification, certify
 from repro.core.streaming import StreamingAdjacencyBuilder
 from repro.graphs.algorithms import khop_frontier, shortest_path_lengths
@@ -197,8 +197,8 @@ class AdjacencyService:
         the op-pair's ``⊕``, matching streaming semantics.  ``options``
         are constructor keyword arguments.
         """
-        array = AssociativeArray.from_triples(
-            iter_tsv_triples(path), zero=op_pair.zero,
+        array = AssociativeArray.from_columns(
+            *read_tsv_columns(path), zero=op_pair.zero,
             combine=op_pair.add)
         return cls(op_pair, initial=array, **options)
 

@@ -1,6 +1,10 @@
 """Construct per-shard adjacency arrays from an on-disk shard set.
 
-Each shard is independent work: load its incidence pair, compute
+Each shard is independent work: load its incidence pair (TSV shard
+files are read in bounded chunks of about
+:data:`~repro.arrays.io.TSV_CHUNK_CHARS` characters, 1 MiB, straight
+into key/value columns, so a shard's working set is its columns and
+arrays, never a per-entry dict), compute
 ``Aₛ = (Eout|Kₛ)ᵀ ⊕.⊗ (Ein|Kₛ)`` with the ordinary
 :func:`repro.arrays.matmul.multiply` kernels, and spill the result to
 disk as a pickle.  Workers mirror :mod:`repro.arrays.parallel`:
@@ -26,11 +30,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Optional, Set, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
 from repro.arrays.associative import AssociativeArray
 from repro.arrays.backend import BACKEND_KINDS
-from repro.arrays.io import iter_tsv_triples
+from repro.arrays.io import read_tsv_columns
 from repro.arrays.keys import KeySet
 from repro.arrays.matmul import multiply
 from repro.obs.events import emit_event
@@ -63,16 +67,21 @@ class ShardProduct:
     bytes: int = 0
 
 
-def _iter_entries(path: Path, fmt: str):
+def _read_columns(path: Path, fmt: str) -> Tuple[list, list, list]:
+    """One entry file as ``(keys, vertices, values)`` columns."""
     if fmt == "tsv":
-        yield from iter_tsv_triples(path)
-    else:
-        with path.open("rb") as fh:
-            while True:
-                try:
-                    yield pickle.load(fh)
-                except EOFError:
-                    return
+        return read_tsv_columns(path)
+    entries = []
+    with path.open("rb") as fh:
+        while True:
+            try:
+                entries.append(pickle.load(fh))
+            except EOFError:
+                break
+    if not entries:
+        return [], [], []
+    keys, vertices, values = map(list, zip(*entries))
+    return keys, vertices, values
 
 
 def load_shard(
@@ -88,21 +97,21 @@ def load_shard(
     arrays share them, as Definition I.4 requires); column keys are the
     observed vertices of each side; ``zero`` should be the op-pair's.
     ``backend`` picks the arrays' storage backend
-    (:mod:`repro.arrays.backend`).
+    (:mod:`repro.arrays.backend`).  Arrays are built column-wise
+    (:meth:`AssociativeArray.from_columns`); a repeated
+    ``(edge, vertex)`` coordinate raises.
     """
     eout_path, ein_path = manifest.shard_paths(info)
-    out_triples = list(_iter_entries(eout_path, manifest.format))
-    in_triples = list(_iter_entries(ein_path, manifest.format))
-    keys: Set[Any] = {k for k, _v, _w in out_triples}
-    keys.update(k for k, _v, _w in in_triples)
-    row_keys = KeySet(keys)
-    eout = AssociativeArray.from_triples(
-        out_triples, row_keys=row_keys,
-        col_keys={v for _k, v, _w in out_triples}, zero=zero,
+    out_keys, out_vertices, out_values = _read_columns(eout_path,
+                                                       manifest.format)
+    in_keys, in_vertices, in_values = _read_columns(ein_path,
+                                                    manifest.format)
+    row_keys = KeySet({*out_keys, *in_keys})
+    eout = AssociativeArray.from_columns(
+        out_keys, out_vertices, out_values, row_keys=row_keys, zero=zero,
         backend=backend)
-    ein = AssociativeArray.from_triples(
-        in_triples, row_keys=row_keys,
-        col_keys={v for _k, v, _w in in_triples}, zero=zero,
+    ein = AssociativeArray.from_columns(
+        in_keys, in_vertices, in_values, row_keys=row_keys, zero=zero,
         backend=backend)
     return eout, ein
 

@@ -32,6 +32,8 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
+from repro.arrays.io import atomic_write
+
 __all__ = ["ShardError", "ShardInfo", "ShardManifest", "FORMAT_VERSION"]
 
 #: Manifest schema version (bump on incompatible layout changes).
@@ -121,12 +123,18 @@ class ShardManifest:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     def save(self, directory: Union[str, Path, None] = None) -> Path:
-        """Write ``manifest.json`` into ``directory`` (default: root)."""
+        """Write ``manifest.json`` into ``directory`` (default: root).
+
+        The write is atomic (:func:`~repro.arrays.io.atomic_write`): a
+        reader sees the previous manifest or the new one, never a
+        partial document.
+        """
         root = Path(directory) if directory is not None else self.root
         if root is None:
             raise ShardError("no directory to save the manifest into")
         path = root / MANIFEST_NAME
-        path.write_text(self.to_json() + "\n", encoding="utf-8")
+        with atomic_write(path, encoding="utf-8") as fh:
+            fh.write(self.to_json() + "\n")
         return path
 
     @classmethod

@@ -17,18 +17,25 @@ incidence entries:
     stable across runs *and* input orders, so re-partitioning the same
     edge set always produces the same assignment.
 
-Entry files are written incrementally (append per entry), so a shard
-set can be built from a stream far larger than RAM.
+Entry files are written incrementally, so a shard set can be built
+from a stream far larger than RAM: edge records append per entry, and a
+TSV incidence pair is read in bounded chunks of about
+:data:`~repro.arrays.io.TSV_CHUNK_CHARS` characters (1 MiB), each
+chunk's lines appended to their shard files in one write per shard.
 """
 
 from __future__ import annotations
 
+import operator
 import pickle
 import zlib
+from itertools import compress, islice, repeat
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.arrays.io import _parse_scalar, iter_tsv_triples
+import numpy as np
+
+from repro.arrays.io import _parse_scalar, iter_tsv_blocks
 from repro.shard.manifest import (
     FORMATS,
     ShardError,
@@ -73,13 +80,33 @@ class ShardAssigner:
         """The shard index for ``key`` (allocating on first sight)."""
         sid = self._assigned.get(key)
         if sid is None:
-            if self.strategy == "round_robin":
-                sid = self._next % self.n_shards
-                self._next += 1
-            else:  # hash — salted-hash-free, stable across interpreters
-                sid = zlib.crc32(str(key).encode("utf-8")) % self.n_shards
-            self._assigned[key] = sid
+            sid = self._allocate([key])[0]
         return sid
+
+    def assign_block(self, keys: Sequence[Any]) -> Tuple[List[int], List[int]]:
+        """The shard index of every key in ``keys``, plus the indices
+        allocated to keys first seen in this block (in first-seen
+        order) — the same assignment as :meth:`assign` key by key."""
+        assigned = self._assigned
+        sids = list(map(assigned.get, keys))
+        if None not in sids:
+            return sids, []
+        fresh = list(dict.fromkeys(
+            compress(keys, map(operator.is_, sids, repeat(None)))))
+        fresh_sids = self._allocate(fresh)
+        return list(map(assigned.__getitem__, keys)), fresh_sids
+
+    def _allocate(self, fresh: List[Any]) -> List[int]:
+        """Assign unseen keys, in order; returns their shard indices."""
+        n = self.n_shards
+        if self.strategy == "round_robin":
+            start = self._next
+            sids = [(start + i) % n for i in range(len(fresh))]
+            self._next += len(fresh)
+        else:  # hash — salted-hash-free, stable across interpreters
+            sids = [zlib.crc32(str(k).encode("utf-8")) % n for k in fresh]
+        self._assigned.update(zip(fresh, sids))
+        return sids
 
 
 class _EntryWriter:
@@ -129,6 +156,11 @@ class _EntryWriter:
             pickle.dump((key, vertex, value), self._fh,
                         protocol=pickle.HIGHEST_PROTOCOL)
         self.count += 1
+
+    def write_lines(self, lines: Sequence[str]) -> None:
+        """Append already-valid TSV lines (no line ends) in one write."""
+        self._fh.write("\n".join(lines) + "\n")
+        self.count += len(lines)
 
     def close(self) -> None:
         self._fh.close()
@@ -239,45 +271,67 @@ def partition_tsv_pair(
     zero: Any = 0,
     op_pair_name: Optional[str] = None,
 ) -> ShardManifest:
-    """Shard a TSV incidence pair, streaming line-by-line.
+    """Shard a TSV incidence pair, reading it in bounded chunks.
 
-    Neither file is ever materialized: each ``edge<TAB>vertex<TAB>value``
-    line is routed straight to its shard file.  An edge key may repeat
-    (hyperedge rows have several entries); the only per-key state is the
-    key → shard map plus a two-bit which-sides-saw-it mask.  Values
-    equal to ``zero`` are rejected — a zero incidence entry would erase
-    the edge (Definition I.4).
+    Neither file is ever materialized: it is read in blocks of about
+    :data:`~repro.arrays.io.TSV_CHUNK_CHARS` characters (1 MiB) by
+    :func:`~repro.arrays.io.iter_tsv_blocks`, and each block's
+    ``edge<TAB>vertex<TAB>value`` lines go to their shard files in one
+    write per shard.  Memory is one block (its text, lines and field
+    columns: a few MB) plus the per-key state — the key → shard map
+    and the set of keys Ein has shown — never the file.  An edge key may
+    repeat (hyperedge rows have several entries).  Values equal to
+    ``zero`` are rejected — a zero incidence entry would erase the
+    edge (Definition I.4).
     """
     assigner = ShardAssigner(n_shards, strategy)
-    # Entries below are re-serializations of just-parsed TSV text, an
-    # identity by construction — skip the per-entry round-trip check.
+    # Entries below are just-parsed TSV text; lines whose value text is
+    # already canonical are copied verbatim, the rest re-serialized
+    # (an identity by construction) — no per-entry round-trip check.
     writers = _ShardSetWriter(Path(outdir), n_shards, shard_format,
                               validate=False)
-    side_seen: Dict[Any, int] = {}
+    in_keys: Set[Any] = set()
 
     def _route(path: Union[str, Path], side: List[_EntryWriter],
-               bit: int) -> None:
-        for key, vertex, value in iter_tsv_triples(path):
-            if value == zero:
-                raise ShardError(
-                    f"{path}: incidence value for edge {key!r} equals the "
-                    f"zero {zero!r}")
-            first_sight = not assigner.seen(key)
-            sid = assigner.assign(key)
-            if first_sight:
+               seen: Optional[Set[Any]]) -> None:
+        for block in iter_tsv_blocks(path):
+            keys, vals = block.rows, block.vals
+            if zero in vals:
+                for key, value in zip(keys, vals):
+                    if value == zero:
+                        raise ShardError(
+                            f"{path}: incidence value for edge {key!r} "
+                            f"equals the zero {zero!r}")
+            sids, fresh_sids = assigner.assign_block(keys)
+            for sid in fresh_sids:
                 writers.edge_counts[sid] += 1
-            side_seen[key] = side_seen.get(key, 0) | bit
-            side[sid].write(key, vertex, value)
+            if seen is not None:
+                seen.update(keys)
+            if writers.fmt == "tsv":
+                lines = block.lines
+                if list(map(str, vals)) != block.texts:
+                    # Shard files hold values in their parsed form.
+                    lines = [f"{k}\t{v}\t{x}"
+                             for k, v, x in zip(keys, block.cols, vals)]
+                for sid, part in _group_by_shard(lines, sids, n_shards):
+                    side[sid].write_lines(part)
+            else:
+                for key, vertex, value, sid in zip(keys, block.cols, vals,
+                                                   sids):
+                    side[sid].write(key, vertex, value)
 
     try:
-        _route(eout_path, writers.eout, 1)
-        _route(ein_path, writers.ein, 2)
+        _route(eout_path, writers.eout, None)
+        n_out = len(assigner)  # the first n_out assigned keys are Eout's
+        _route(ein_path, writers.ein, in_keys)
         # Definition I.4 gives every edge entries on both sides, and
         # batch construction on the same files would raise (the derived
         # row key sets differ).  A one-sided key therefore signals
         # mismatched input files — refuse rather than silently dropping
         # its contribution.
-        one_sided = [k for k, mask in side_seen.items() if mask != 3]
+        one_sided = [k for k in islice(assigner._assigned, n_out)
+                     if k not in in_keys]
+        one_sided += islice(assigner._assigned, n_out, None)
         if one_sided:
             sample = ", ".join(repr(k) for k in sorted(one_sided)[:5])
             raise ShardError(
@@ -288,6 +342,25 @@ def partition_tsv_pair(
         writers.discard()
         raise
     return _finalize(assigner, writers, op_pair_name)
+
+
+def _group_by_shard(lines: List[str], sids: List[int],
+                    n_shards: int) -> Iterable[Tuple[int, List[str]]]:
+    """``(shard, lines)`` for every shard with lines in this block, the
+    lines in their input order."""
+    if n_shards == 1:
+        return [(0, lines)]
+    sid_arr = np.array(sids, dtype=np.int64)
+    order = np.argsort(sid_arr, kind="stable").tolist()
+    ordered = list(map(lines.__getitem__, order))
+    bounds = np.cumsum(np.bincount(sid_arr, minlength=n_shards)).tolist()
+    out = []
+    lo = 0
+    for sid, hi in enumerate(bounds):
+        if hi > lo:
+            out.append((sid, ordered[lo:hi]))
+        lo = hi
+    return out
 
 
 def _finalize(assigner: ShardAssigner, writers: _ShardSetWriter,

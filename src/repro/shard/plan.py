@@ -22,8 +22,9 @@ Sources accepted by :meth:`partition` / :meth:`run`:
 * an :class:`~repro.graphs.digraph.EdgeKeyedDigraph` (plus optional
   ``out_values``/``in_values`` weight specs);
 * an in-memory ``(Eout, Ein)`` incidence-array pair;
-* a ``(eout_path, ein_path)`` pair of TSV-triple files — streamed
-  line-by-line, never materialized (the out-of-core ingest path).
+* a ``(eout_path, ein_path)`` pair of TSV-triple files — read in
+  bounded chunks of about 1 MiB, never materialized (the out-of-core
+  ingest path).
 
 Plans are context managers: for the staged flow (``partition()`` now,
 ``execute()`` later), ``with ShardedAdjacencyPlan(...) as plan: ...``

@@ -13,9 +13,9 @@ any of the supported sources:
 * a pair of incidence :class:`~repro.arrays.associative.AssociativeArray`
   objects sharing their edge-key rows (hyperedge rows supported).
 
-TSV-file pairs are *not* routed through records: they are line-streamed
-directly by :func:`repro.shard.partition.partition_tsv_pair`, which
-never groups a file's entries in memory.
+TSV-file pairs are *not* routed through records: they are read in
+bounded chunks directly by :func:`repro.shard.partition.partition_tsv_pair`,
+which never groups a file's entries in memory.
 
 Records carry hyperedges naturally: an edge key may touch several
 out-vertices and several in-vertices (the paper's generalized incidence

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.arrays import io as io_mod
 from repro.arrays.associative import AssociativeArray
 from repro.arrays.io import read_tsv_triples, write_tsv_triples
 from repro.cli import build_parser, main
@@ -52,6 +53,35 @@ def _weighted_operands(pair_name="plus_times", n_vertices=12, n_edges=60,
 # Manifest
 # ---------------------------------------------------------------------------
 
+def _failing_open(after: int):
+    """An ``open`` whose files fail with ENOSPC on write number
+    ``after`` (1-based), after the earlier writes went through."""
+    import builtins
+    import errno
+
+    class _Failing:
+        def __init__(self, fh):
+            self._fh = fh
+            self._writes = 0
+
+        def write(self, text):
+            self._writes += 1
+            if self._writes >= after:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self._fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+            return False
+
+    def _open(*args, **kwargs):
+        return _Failing(builtins.open(*args, **kwargs))
+    return _open
+
+
 class TestManifest:
     def _build(self, tmp_path, **kwargs):
         records = edge_records([("e1", "a", "b"), ("e2", "b", "c")])
@@ -69,6 +99,20 @@ class TestManifest:
     def test_load_from_directory(self, tmp_path):
         manifest = self._build(tmp_path)
         assert ShardManifest.load(tmp_path) == manifest
+
+    def test_failed_save_keeps_previous_manifest(self, tmp_path,
+                                                 monkeypatch):
+        manifest = self._build(tmp_path, op_pair_name="plus_times")
+        before = (tmp_path / "manifest.json").read_bytes()
+        changed = ShardManifest(format=manifest.format,
+                                strategy=manifest.strategy, n_edges=99,
+                                shards=manifest.shards, root=tmp_path)
+        monkeypatch.setattr(io_mod, "open", _failing_open(after=1),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            changed.save()
+        assert (tmp_path / "manifest.json").read_bytes() == before
+        assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ShardError, match="no manifest"):
@@ -849,6 +893,25 @@ class TestBuildCLI:
                      "--quiet"])
         assert code == 1
         assert "build failed" in capsys.readouterr().err
+
+    def test_failed_write_keeps_previous_output(self, tmp_path, capsys,
+                                                monkeypatch):
+        """A build that dies while writing ``-o`` leaves the previous
+        output byte-identical and no temporary file behind."""
+        self._write_pair(tmp_path)
+        out = tmp_path / "adj.tsv"
+        out.write_bytes(b"previous\tbuild\t1\n")
+        monkeypatch.setattr(io_mod, "_WRITE_CHUNK", 1)
+        monkeypatch.setattr(io_mod, "open", _failing_open(after=2),
+                            raising=False)
+        code = main(["build", str(tmp_path / "eout.tsv"),
+                     str(tmp_path / "ein.tsv"), "-o", str(out),
+                     "--quiet"])
+        assert code == 1
+        assert "No space left" in capsys.readouterr().err
+        assert out.read_bytes() == b"previous\tbuild\t1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["adj.tsv", "ein.tsv", "eout.tsv"]
 
     def test_dense_blocked_kernel_with_dense_mode(self, tmp_path):
         """--kernel dense_blocked is usable via --mode dense and agrees
