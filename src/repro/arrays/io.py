@@ -129,24 +129,37 @@ TSV_CHUNK_CHARS = 1 << 20
 
 
 @contextmanager
-def atomic_write(path: Union[str, Path], **open_kwargs):
-    """Open a temporary text file beside ``path`` for writing; on
-    success it replaces ``path`` in one ``os.replace``, on failure it
-    is removed.
+def atomic_write(path: Union[str, Path], *, binary: bool = False,
+                 **open_kwargs):
+    """Open a temporary file beside ``path`` for writing; on success it
+    is fsynced and replaces ``path`` in one ``os.replace``, on failure
+    it is removed.
 
     Readers therefore see either the previous file or the complete new
-    one, never a partial write.  ``open_kwargs`` (``encoding``,
+    one, never a partial write, and a crash after the replace cannot
+    leave the new name pointing at unwritten data.  ``binary`` opens
+    the file in ``"xb"`` mode; ``open_kwargs`` (``encoding``,
     ``newline``) as for ``open``.
     """
     p = Path(path)
     tmp = p.with_name(f".{p.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
-        with open(tmp, "x", **open_kwargs) as fh:
+        with open(tmp, "xb" if binary else "x", **open_kwargs) as fh:
             yield fh
+        _fsync(tmp)
         os.replace(tmp, p)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _fsync(path: Path) -> None:
+    """Flush a closed file's data to stable storage."""
+    fd = os.open(path, os.O_RDWR)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def write_tsv_triples(

@@ -22,7 +22,7 @@ key set, so :class:`KeySet` order is load-bearing, not cosmetic.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 __all__ = ["KeySet", "KeyError_"]
 
@@ -47,7 +47,9 @@ class KeySet:
         numbers).  Duplicates are removed; order is ascending.
     presorted:
         Internal fast path: trust that ``keys`` is already a sorted,
-        duplicate-free list.
+        duplicate-free list.  The key → position index is then built on
+        first use, so a key set only iterated or compared (the integer
+        rank sets of coded shards, say) never builds it.
     """
 
     __slots__ = ("_keys", "_index", "_hash")
@@ -63,10 +65,21 @@ class KeySet:
                     "keys must be mutually comparable (totally ordered): "
                     f"{exc}") from None
         self._keys: Tuple[Any, ...] = tuple(ks)
-        self._index = {k: i for i, k in enumerate(self._keys)}
-        if len(self._index) != len(self._keys):
-            raise KeyError_("duplicate keys after sorting (unhashable mix?)")
+        self._index: Optional[Dict[Any, int]] = None
+        if not presorted:
+            self._positions()
         self._hash: Optional[int] = None
+
+    def _positions(self) -> Dict[Any, int]:
+        """The key → position index (built once)."""
+        index = self._index
+        if index is None:
+            index = {k: i for i, k in enumerate(self._keys)}
+            if len(index) != len(self._keys):
+                raise KeyError_(
+                    "duplicate keys after sorting (unhashable mix?)")
+            self._index = index
+        return index
 
     # -- basic container protocol -------------------------------------------
     def __len__(self) -> int:
@@ -77,7 +90,7 @@ class KeySet:
 
     def __contains__(self, key: Any) -> bool:
         try:
-            return key in self._index
+            return key in self._positions()
         except TypeError:
             return False
 
@@ -88,7 +101,7 @@ class KeySet:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, KeySet):
-            return self._keys == other._keys
+            return self is other or self._keys == other._keys
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -113,7 +126,7 @@ class KeySet:
     def index(self, key: Any) -> int:
         """Position of ``key`` in the order; raises if absent."""
         try:
-            return self._index[key]
+            return self._positions()[key]
         except (KeyError, TypeError):
             raise KeyError_(f"key {key!r} not in key set") from None
 
@@ -190,11 +203,12 @@ class KeySet:
                 return self.between(lo, hi)
             if text.endswith("*") and len(text) > 1:
                 return self.starting_with(text[:-1])
-            if text in self._index:
+            if text in self._positions():
                 return KeySet([text], presorted=True)
             raise KeyError_(f"key {text!r} not in key set")
         if isinstance(selector, Sequence):
-            missing = [k for k in selector if k not in self._index]
+            index = self._positions()
+            missing = [k for k in selector if k not in index]
             if missing:
                 raise KeyError_(f"keys not in key set: {missing!r}")
             return KeySet(selector)
@@ -211,7 +225,7 @@ class KeySet:
         set's index per promotion measurably dominated cold-start
         profiles.
         """
-        return self._index
+        return self._positions()
 
     @staticmethod
     def coerce(value: Union["KeySet", Iterable[Any], None]) -> "KeySet":

@@ -672,7 +672,6 @@ def _cmd_build(args) -> int:
             kernel=args.kernel,
             backend=args.backend,
             strategy=args.strategy,
-            shard_format="tsv",
             workdir=args.workdir,
             keep_workdir=args.workdir is not None,
             overwrite=True,  # pointing --workdir at a dir again is intent

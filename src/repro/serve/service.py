@@ -49,7 +49,7 @@ from repro.obs.profile import heap_delta
 from repro.obs.trace import Tracer, span
 from repro.serve.cache import QueryCache
 from repro.serve.snapshot import ServeError, Snapshot, UnknownVertexError
-from repro.shard.executor import execute_shards
+from repro.shard.executor import execute_shards, vertex_keys
 from repro.shard.manifest import ShardError, ShardManifest
 from repro.shard.merge import check_merge_safety, merge_spilled, oplus_union
 from repro.values.semiring import OpPair, SemiringError, get_op_pair
@@ -242,7 +242,8 @@ class AdjacencyService:
                 kernel=kernel, backend=backend, workdir=spill)
             adjacency = merge_spilled(
                 [p.path for p in products], op_pair, workdir=spill,
-                unsafe_ok=True)  # gated above
+                unsafe_ok=True,  # gated above
+                keys=vertex_keys(manifest))
         return cls(op_pair, initial=adjacency, certification=cert,
                    **options)
 

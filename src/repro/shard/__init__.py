@@ -14,7 +14,8 @@ that identity into an engine for edge sets larger than RAM:
   streams, incidence-array pairs, or TSV-triple files into one edge
   stream;
 * :mod:`repro.shard.partition` — single-pass partitioner writing
-  on-disk incidence shards plus a JSON manifest;
+  on-disk incidence shards plus a JSON manifest (integer-coded binary
+  records for numeric TSV pairs, so each file is parsed once);
 * :mod:`repro.shard.manifest` — the shard-set layout and its
   ``manifest.json`` round-trip;
 * :mod:`repro.shard.executor` — per-shard adjacency construction in

@@ -18,6 +18,10 @@ Merging is pairwise over a balanced binary tree.  The spilled variant
 holds at most two operands in memory at any time and deletes inputs as
 soon as their parent is written, so peak memory is O(result), not
 O(result × shards).
+
+Spills of a ``"coded"`` shard set never pickle (:func:`save_spill`):
+they all share the set's global vertex key sets, so the merge embeds
+nothing and unions no keys.
 """
 
 from __future__ import annotations
@@ -25,20 +29,25 @@ from __future__ import annotations
 import pickle
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.arrays.associative import AssociativeArray
+from repro.arrays.io import atomic_write, read_tsv_columns
+from repro.arrays.keys import KeySet
 from repro.obs.events import emit_event
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
 from repro.arrays.backend import (
+    DictBackend,
     embed_lookup,
     union_apply,
     usable_numeric_zero,
 )
 from repro.arrays.elementwise import elementwise_add, vectorizable_operands
 from repro.core.certify import Certification, certify
-from repro.shard.manifest import ShardError
+from repro.shard.manifest import RECORD, ShardError, check_codes, save_npy
 from repro.values.equality import values_equal
 from repro.values.semiring import OpPair
 
@@ -48,6 +57,7 @@ __all__ = [
     "oplus_fold",
     "merge_adjacency",
     "merge_spilled",
+    "save_spill",
 ]
 
 
@@ -206,13 +216,17 @@ def merge_spilled(
     workdir: Optional[Union[str, Path]] = None,
     unsafe_ok: bool = False,
     cleanup: bool = True,
+    keys: Optional[Tuple[KeySet, KeySet]] = None,
 ) -> AssociativeArray:
-    """Pairwise-merge spilled (pickled) shard results from disk.
+    """Pairwise-merge spilled shard results from disk.
 
     Intermediate merge levels are themselves spilled to ``workdir``
     (default: the first input's directory); at most two operands are
     resident at once.  ``cleanup`` deletes inputs and intermediates as
-    they are consumed.
+    they are consumed.  ``keys`` — the ``(row, column)`` key sets of a
+    coded shard set's spills (see :func:`save_spill`) — switches the
+    intermediates to the same pickle-free format; without it the
+    inputs and intermediates are pickles.
     """
     check_merge_safety(op_pair, unsafe_ok=unsafe_ok)
     if not paths:
@@ -222,6 +236,10 @@ def merge_spilled(
     level: List[Path] = [Path(p) for p in paths]
     root = Path(workdir) if workdir is not None else level[0].parent
     root.mkdir(parents=True, exist_ok=True)
+
+    def load(path: Path) -> AssociativeArray:
+        return _load(path, keys, op_pair.zero)
+
     generation = 0
     with span("shard.merge_spilled", inputs=len(level)):
         while len(level) > 1:
@@ -230,7 +248,7 @@ def merge_spilled(
                 # Final merge: its product is the answer — return it
                 # without the spill/reload round-trip (it is the largest
                 # array of the whole run).
-                merged = oplus_union(_load(level[0]), _load(level[1]),
+                merged = oplus_union(load(level[0]), load(level[1]),
                                      op_pair)
                 if cleanup:
                     level[0].unlink(missing_ok=True)
@@ -241,12 +259,16 @@ def merge_spilled(
                 if i + 1 >= len(level):
                     nxt.append(level[i])  # odd one out rides up a level
                     continue
-                merged = oplus_union(_load(level[i]), _load(level[i + 1]),
+                merged = oplus_union(load(level[i]), load(level[i + 1]),
                                      op_pair)
-                out = root / f"merge_{generation:03d}_{i // 2:05d}.pkl"
-                with out.open("wb") as fh:
-                    pickle.dump(merged, fh,
-                                protocol=pickle.HIGHEST_PROTOCOL)
+                stem = root / f"merge_{generation:03d}_{i // 2:05d}"
+                if keys is not None:
+                    out = save_spill(merged, stem)
+                else:
+                    out = stem.with_suffix(".pkl")
+                    with out.open("wb") as fh:
+                        pickle.dump(merged, fh,
+                                    protocol=pickle.HIGHEST_PROTOCOL)
                 nbytes = out.stat().st_size
                 spilled.inc(nbytes)
                 emit_event("shard_spill", stage="merge",
@@ -257,15 +279,92 @@ def merge_spilled(
                     level[i + 1].unlink(missing_ok=True)
                 nxt.append(out)
             level = nxt
-        result = _load(level[0])
+        result = load(level[0])
         if cleanup:
             level[0].unlink(missing_ok=True)
         return result
 
 
-def _load(path: Path) -> AssociativeArray:
+def save_spill(
+    adj: AssociativeArray,
+    stem: Path,
+    row_lookup: Optional[np.ndarray] = None,
+    col_lookup: Optional[np.ndarray] = None,
+) -> Path:
+    """Spill ``adj`` without pickle; returns the file written.
+
+    Coordinates are stored as key *positions*, mapped through the
+    optional monotone ``row_lookup``/``col_lookup`` arrays (a shard's
+    local ranks → the set's global ranks).  Numeric storage goes to
+    ``stem.npy``: :data:`~repro.shard.manifest.RECORD` entries in
+    (row, col) order.  Dict storage — small results, whose exact Python
+    value types (``5`` vs ``5.0``) the output keeps, and every result
+    pinned to ``backend="dict"`` — goes to ``stem.tsv`` (``stem.dict.tsv``
+    when pinned, so the pin survives the merge) as
+    ``row<TAB>col<TAB>value`` lines, which
+    :func:`~repro.arrays.io.read_tsv_columns` parses back to the same
+    ints and floats.  Both are written through
+    :func:`~repro.arrays.io.atomic_write`.
+    """
+    if adj.backend == "numeric":
+        be = adj.numeric_backend()
+        records = np.empty(be.nnz, dtype=RECORD)
+        records["row"] = be.rows if row_lookup is None else row_lookup[be.rows]
+        records["col"] = be.cols if col_lookup is None else col_lookup[be.cols]
+        records["val"] = be.vals
+        path = stem.with_suffix(".npy")
+        save_npy(path, records)
+        return path
+    rpos = adj.row_keys.position_map()
+    cpos = adj.col_keys.position_map()
+    rmap = (lambda i: i) if row_lookup is None else row_lookup.item
+    cmap = (lambda j: j) if col_lookup is None else col_lookup.item
+    lines = []
+    for r, c, v in adj.entries():
+        if type(v) not in (int, float):
+            raise ShardError(
+                f"cannot spill value {v!r} ({type(v).__name__}) of a "
+                "coded shard result; partition with shard_format='tsv'")
+        lines.append(f"{rmap(rpos[r])}\t{cmap(cpos[c])}\t{v}\n")
+    path = stem.with_name(stem.name + (".dict.tsv" if adj.pinned
+                                       else ".tsv"))
+    with atomic_write(path, encoding="utf-8", newline="") as fh:
+        fh.write("".join(lines))
+    return path
+
+
+def _load(path: Path, keys: Optional[Tuple[KeySet, KeySet]],
+          zero) -> AssociativeArray:
+    """One spill: a pickle, or (with ``keys``) a :func:`save_spill` file."""
     try:
-        with path.open("rb") as fh:
-            return pickle.load(fh)
+        if path.suffix == ".pkl":
+            with path.open("rb") as fh:
+                return pickle.load(fh)
+        if keys is None:
+            raise ShardError(f"{path}: a coded spill needs its key sets")
+        rk, ck = keys
+        if path.suffix == ".npy":
+            try:
+                records = np.load(path, allow_pickle=False)
+            except ValueError as exc:
+                raise ShardError(f"{path}: unreadable spill ({exc})") \
+                    from None
+            if records.dtype != RECORD or records.ndim != 1:
+                raise ShardError(f"{path}: not a spill of coded records")
+            rows = np.ascontiguousarray(records["row"])
+            cols = np.ascontiguousarray(records["col"])
+            check_codes(rows, len(rk), path, "row")
+            check_codes(cols, len(ck), path, "column")
+            return AssociativeArray._from_numeric(
+                rows, cols, np.ascontiguousarray(records["val"]),
+                row_keys=rk, col_keys=ck, zero=zero, presorted=True,
+                filtered=True)
+        rows, cols, vals = read_tsv_columns(path)
+        rkeys, ckeys = rk.keys(), ck.keys()
+        data = dict(zip(zip(map(rkeys.__getitem__, map(int, rows)),
+                            map(ckeys.__getitem__, map(int, cols))), vals))
+        pinned = path.name.endswith(".dict.tsv")
+        return AssociativeArray._adopt(DictBackend(data, pinned=pinned),
+                                       rk, ck, zero)
     except FileNotFoundError:
         raise ShardError(f"missing spilled shard result {path}") from None

@@ -24,7 +24,9 @@ Sources accepted by :meth:`partition` / :meth:`run`:
 * an in-memory ``(Eout, Ein)`` incidence-array pair;
 * a ``(eout_path, ein_path)`` pair of TSV-triple files — read in
   bounded chunks of about 1 MiB, never materialized (the out-of-core
-  ingest path).
+  ingest path), and parsed once: shards are written in the integer
+  ``"coded"`` format when the values allow (see
+  :mod:`repro.shard.manifest`).
 
 Plans are context managers: for the staged flow (``partition()`` now,
 ``execute()`` later), ``with ShardedAdjacencyPlan(...) as plan: ...``
@@ -48,7 +50,7 @@ from repro.core.certify import Certification, certify
 from repro.graphs.incidence import ValueSpec
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
-from repro.shard.executor import EXECUTORS, execute_shards
+from repro.shard.executor import EXECUTORS, execute_shards, vertex_keys
 from repro.shard.manifest import MANIFEST_NAME, ShardError, ShardManifest
 from repro.shard.merge import check_merge_safety, merge_spilled
 from repro.shard.partition import (
@@ -62,7 +64,7 @@ from repro.values.semiring import OpPair
 __all__ = ["ShardedResult", "ShardedAdjacencyPlan", "sharded_adjacency"]
 
 #: Plan-owned subdirectory of the workdir for spill files (per-shard
-#: adjacency pickles and merge intermediates).
+#: adjacency results and merge intermediates).
 _SPILL_DIR = "spill"
 
 
@@ -108,10 +110,12 @@ class ShardedAdjacencyPlan:
         pins every shard to the generic paths; ``"numeric"`` compiles
         the columnar form at ingest and keeps it through the merge.
     shard_format:
-        ``"tsv"``, ``"pickle"``, or ``"auto"`` (TSV for TSV-file
-        sources, whose keys/values are text by construction; pickle for
-        in-memory sources, whose key and value types only pickle
-        preserves).
+        ``"tsv"``, ``"pickle"``, or ``"auto"``: for TSV-file sources
+        ``"auto"`` writes integer-coded binary shards (``"coded"``,
+        see :mod:`repro.shard.manifest`), falling back to ``"tsv"``
+        when the values are not plain numbers or the zero is not; for
+        in-memory sources pickle, whose key and value types only
+        pickle preserves.
     strategy:
         Edge-key assignment, ``"round_robin"`` (default) or ``"hash"``.
     workdir:
@@ -182,9 +186,9 @@ class ShardedAdjacencyPlan:
         self.kernel = kernel
         self.backend = backend
         # "auto" is resolved per source in partition(): TSV files carry
-        # string keys and pre-round-tripped values so TSV shards are
-        # faithful; any in-memory source may hold arbitrary key/value
-        # types, which only pickle preserves.
+        # string keys and pre-round-tripped values, so coded (or TSV)
+        # shards are faithful; any in-memory source may hold arbitrary
+        # key/value types, which only pickle preserves.
         self.shard_format = shard_format
         self.strategy = strategy
         self.keep_workdir = keep_workdir
@@ -287,11 +291,8 @@ class ShardedAdjacencyPlan:
                 # repartition would orphan the higher-numbered ones
                 # next to the new manifest.
                 try:
-                    old = ShardManifest.load(existing)
-                    for info in old.shards:
-                        old_eout, old_ein = old.shard_paths(info)
-                        old_eout.unlink(missing_ok=True)
-                        old_ein.unlink(missing_ok=True)
+                    for path in ShardManifest.load(existing).data_files():
+                        path.unlink(missing_ok=True)
                 except ShardError:
                     pass  # unreadable old manifest; just replace it
                 # Dropping the manifest itself also ensures a partition
@@ -300,7 +301,7 @@ class ShardedAdjacencyPlan:
                 existing.unlink(missing_ok=True)
             self._owns_workdir_content = True
             if _is_path_pair(source):
-                fmt = ("tsv" if self.shard_format == "auto"
+                fmt = ("coded" if self.shard_format == "auto"
                        else self.shard_format)
                 manifest = partition_tsv_pair(
                     source[0], source[1], self.n_shards, shard_dir,
@@ -352,7 +353,8 @@ class ShardedAdjacencyPlan:
                 adjacency = merge_spilled(
                     [p.path for p in products], self._pair,
                     workdir=spill_dir, unsafe_ok=True,  # gated in __init__
-                    cleanup=not self.keep_workdir)
+                    cleanup=not self.keep_workdir,
+                    keys=vertex_keys(self._manifest))
             t2 = time.perf_counter()
         except Exception:
             self._cleanup()
@@ -431,16 +433,14 @@ class ShardedAdjacencyPlan:
             self._manifest = None  # its files are gone
         elif self._workdir is not None and self._owns_workdir_content:
             # Explicit workdir this plan has written into: remove
-            # exactly what it wrote — the manifest-listed shard entry
-            # files, the manifest, and the spill subdirectory if this
-            # plan created it — leaving the user's directory (including
-            # a pre-existing spill/ of theirs, or a foreign kept shard
-            # set we refused to touch) otherwise untouched.
+            # exactly what it wrote — the manifest-listed shard files
+            # and key tables, the manifest, and the spill subdirectory if
+            # this plan created it — leaving the user's directory
+            # (including a pre-existing spill/ of theirs, or a foreign
+            # kept shard set we refused to touch) otherwise untouched.
             if self._manifest is not None and self._manifest.root is not None:
-                for info in self._manifest.shards:
-                    eout_path, ein_path = self._manifest.shard_paths(info)
-                    eout_path.unlink(missing_ok=True)
-                    ein_path.unlink(missing_ok=True)
+                for path in self._manifest.data_files():
+                    path.unlink(missing_ok=True)
                 (self._manifest.root / MANIFEST_NAME).unlink(missing_ok=True)
             if self._spill_created:
                 shutil.rmtree(self._workdir / _SPILL_DIR,

@@ -543,3 +543,234 @@ class TestDuplicates:
         assert got == want
         for r, c, v in want.entries():
             assert _same_values(got.get(r, c), v)
+
+
+# ---------------------------------------------------------------------------
+# The coded shard format
+# ---------------------------------------------------------------------------
+
+def _codable(path: Path) -> bool:
+    """Whether one incidence file fits the coded format: every value a
+    plain number float64 holds exactly, all of one Python type."""
+    vals = [v for _k, _c, v in oracle_triples(path)]
+    types = set(map(type, vals))
+    return (len(types) <= 1 and types <= {int, float}
+            and all(abs(v) <= 2**53 for v in vals if isinstance(v, int)))
+
+
+def _decoded_lines(manifest: ShardManifest, info: ShardInfo,
+                   side: str) -> str:
+    """One coded shard side decoded through the key tables, as the
+    lines the ``"tsv"`` format would hold, in file order."""
+    import numpy as np
+    root = manifest.root
+
+    def table(name):
+        text = (root / name).read_text(encoding="utf-8")
+        return text.split("\n")[:-1]
+
+    edges = table("keys.edge.txt")
+    edge_ranks = np.load(root / "rank.edge.npy", allow_pickle=False)
+    vertices = table(f"keys.{side}.txt")
+    ranks = np.load(root / f"rank.{side}.npy", allow_pickle=False)
+    path = root / (info.eout_path if side == "out" else info.ein_path)
+    records = np.fromfile(path, dtype=[("row", "<i8"), ("col", "<i8"),
+                                       ("val", "<f8")])
+    as_int = manifest.value_types[side == "in"] == "int"
+    return "".join(
+        f"{edges[edge_ranks[e]]}\t{vertices[ranks[c]]}\t"
+        f"{int(v) if as_int else v}\n"
+        for e, c, v in records.tolist())
+
+
+class TestCodedPartition:
+    @settings(max_examples=80, **COMMON)
+    @given(pair=incidence_pairs(), n_shards=st.integers(1, 5),
+           strategy=st.sampled_from(["round_robin", "hash"]),
+           chunk=CHUNKS)
+    def test_coded_shards_decode_to_the_oracle_lines(
+            self, pair, n_shards, strategy, chunk):
+        """Decoded entries, shard by shard in file order, are the
+        oracle's lines; counts match; non-numeric inputs fall back to a
+        set byte-identical to an explicit ``"tsv"`` run."""
+        with tempfile.TemporaryDirectory() as d:
+            root = Path(d)
+            eout, ein = root / "eout.tsv", root / "ein.tsv"
+            eout.write_text(pair[0], encoding="utf-8")
+            ein.write_text(pair[1], encoding="utf-8")
+            want_err = got_err = None
+            try:
+                oracle_partition(eout, ein, n_shards, root / "want",
+                                 strategy)
+            except ShardError as exc:
+                want_err = str(exc)
+            with _chunked(chunk):
+                try:
+                    got = partition_tsv_pair(eout, ein, n_shards,
+                                             root / "got",
+                                             shard_format="coded",
+                                             strategy=strategy)
+                except ShardError as exc:
+                    got_err = str(exc)
+            assert got_err == want_err
+            if want_err is not None:
+                assert not any((root / "got").iterdir())
+                return
+            want = ShardManifest.load(root / "want")
+            assert got.format == ("coded" if _codable(eout)
+                                  and _codable(ein) else "tsv")
+            if got.format == "tsv":
+                with _chunked(chunk):
+                    partition_tsv_pair(eout, ein, n_shards, root / "tsv",
+                                       strategy=strategy)
+                assert _tree(root / "got") == _tree(root / "tsv")
+                return
+            assert got.version == 2
+            assert got.n_edges == want.n_edges
+            for g, w in zip(got.shards, want.shards, strict=True):
+                assert (g.n_edges, g.n_out_entries, g.n_in_entries) == \
+                    (w.n_edges, w.n_out_entries, w.n_in_entries)
+                for side, name in (("out", w.eout_path),
+                                   ("in", w.ein_path)):
+                    assert _decoded_lines(got, g, side) == \
+                        (root / "want" / name).read_text(encoding="utf-8")
+            assert ShardManifest.load(root / "got") == got
+
+    @settings(max_examples=40, **COMMON)
+    @given(pair=incidence_pairs(), n_shards=st.integers(1, 4))
+    def test_loaded_coded_shards_equal_dict_built_shards(self, pair,
+                                                         n_shards):
+        """``load_shard`` on a coded shard returns the string-keyed
+        arrays the dict-built oracle builds from the same shard."""
+        with tempfile.TemporaryDirectory() as d:
+            root = Path(d)
+            eout, ein = root / "eout.tsv", root / "ein.tsv"
+            eout.write_text(pair[0], encoding="utf-8")
+            ein.write_text(pair[1], encoding="utf-8")
+            try:
+                coded = partition_tsv_pair(eout, ein, n_shards,
+                                           root / "coded",
+                                           shard_format="coded")
+            except ShardError:
+                return
+            oracle_partition(eout, ein, n_shards, root / "want",
+                             "round_robin")
+            want_set = ShardManifest.load(root / "want")
+            for info, want_info in zip(coded.shards, want_set.shards):
+                for backend in ("auto", "dict"):
+                    want = _outcome_of(oracle_load, want_set, want_info, 0)
+                    got = _outcome_of(_load, coded, info, 0, backend)
+                    assert got == want
+                    if got[0] == "ok":
+                        for array in got[1]:
+                            assert all(isinstance(k, str)
+                                       for k in array.row_keys)
+                            assert all(isinstance(k, str)
+                                       for k in array.col_keys)
+
+
+# ---------------------------------------------------------------------------
+# Sharded ≡ batch through a TSV-pair source
+# ---------------------------------------------------------------------------
+
+from tests.property.test_shard_equivalence import (  # noqa: E402
+    APPROX_PAIRS,
+    MERGEABLE_PAIRS,
+)
+from tests.property.strategies import graph_with_values  # noqa: E402
+
+
+def _tsv_carries(name: str) -> bool:
+    """Whether a pair's zero and sampled values survive the TSV text
+    round-trip (tuples, sets and booleans come back as strings)."""
+    pair = get_op_pair(name)
+    values = [pair.zero] + pair.domain.sample(random.Random(0), 40,
+                                              exclude=pair.zero)
+    return all(type(tsv_io._parse_scalar(str(v))) is type(v)
+               and _same_values(tsv_io._parse_scalar(str(v)), v)
+               for v in values)
+
+
+#: Mergeable pairs whose values a TSV file can hold.
+TSV_PAIRS = frozenset(name for name in MERGEABLE_PAIRS if _tsv_carries(name))
+
+
+def test_tsv_sweep_covers_the_numeric_pairs():
+    assert {"plus_times", "min_plus", "max_min",
+            "log_semiring"} <= TSV_PAIRS
+
+
+def _tsv_source_vs_batch(name, data, n_shards, executor, root: Path):
+    """Batch construction over the arrays read back from a TSV pair
+    against the sharded build of the same files (coded when the values
+    allow, ``"tsv"`` otherwise): both fail, or they agree.  For pairs
+    whose values the text cannot carry (:data:`TSV_PAIRS`) the sharded
+    build may also fail where batch does not, but never disagrees."""
+    from repro.arrays.io import read_tsv_triples, write_tsv_triples
+    from repro.core.construction import adjacency_array
+    from repro.graphs.incidence import incidence_arrays
+    from repro.shard import sharded_adjacency
+
+    pair = get_op_pair(name)
+    graph, out_vals, in_vals = data
+    e_out, e_in = incidence_arrays(graph, zero=pair.zero,
+                                   out_values=out_vals, in_values=in_vals)
+    eout, ein = root / "eout.tsv", root / "ein.tsv"
+    write_tsv_triples(e_out, eout)
+    write_tsv_triples(e_in, ein)
+    want = _outcome_of(lambda: adjacency_array(
+        read_tsv_triples(eout, zero=pair.zero),
+        read_tsv_triples(ein, zero=pair.zero), pair, kernel="generic"))
+    got = _outcome_of(lambda: sharded_adjacency(
+        (eout, ein), pair, n_shards=n_shards, executor=executor,
+        n_workers=2))
+    if name in TSV_PAIRS:
+        assert (got[0] == "ok") == (want[0] == "ok"), (got, want)
+    if got[0] != "ok" or want[0] != "ok":
+        return
+    got, want = got[1], want[1]
+    if name in APPROX_PAIRS:
+        assert got.row_keys == want.row_keys
+        assert got.col_keys == want.col_keys
+        assert got.allclose(want), f"{name}: sharded ≉ batch"
+    else:
+        assert got == want, f"{name}: sharded ≠ batch"
+
+
+def _make_tsv_source_test(name: str):
+    @settings(max_examples=8, **COMMON)
+    @given(data=graph_with_values(get_op_pair(name)),
+           n_shards=st.integers(1, 5),
+           executor=st.sampled_from(("serial", "thread")))
+    def _test(data, n_shards, executor):
+        with tempfile.TemporaryDirectory() as d:
+            _tsv_source_vs_batch(name, data, n_shards, executor, Path(d))
+
+    _test.__name__ = f"test_tsv_source_sharded_equals_batch_{name}"
+    return _test
+
+
+for _name in MERGEABLE_PAIRS:
+    globals()[f"test_tsv_source_sharded_equals_batch_{_name}"] = \
+        _make_tsv_source_test(_name)
+del _name
+
+
+@pytest.mark.parametrize("n_shards", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name", MERGEABLE_PAIRS)
+def test_tsv_source_sharded_equals_batch_process_executor(
+        name, n_shards, tmp_path):
+    """The process-executor leg (one deterministic example per pair and
+    shard count; process pools spawn per call)."""
+    import random as _random
+    from repro.graphs.generators import erdos_renyi_multigraph
+    pair = get_op_pair(name)
+    graph = erdos_renyi_multigraph(8, 30, seed=7 + n_shards)
+    rng = _random.Random(n_shards)
+    keys = list(graph.edge_keys)
+    out_vals = dict(zip(keys, pair.domain.sample(rng, len(keys),
+                                                 exclude=pair.zero)))
+    in_vals = dict(zip(keys, pair.domain.sample(rng, len(keys),
+                                                exclude=pair.zero)))
+    _tsv_source_vs_batch(name, (graph, out_vals, in_vals), n_shards,
+                         "process", tmp_path)

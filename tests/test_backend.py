@@ -291,3 +291,54 @@ class TestFromScipy:
         assert a.nnz == 1
         assert a["r0", "c1"] == 3.0
         assert a.triples() == [("r0", "c1", 3.0)]
+
+
+# ---------------------------------------------------------------------------
+# The sorted coordinate union behind union_apply
+# ---------------------------------------------------------------------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.arrays.backend import sorted_union, union_apply  # noqa: E402
+
+
+def _sorted_run(values):
+    import numpy as np
+    return np.array(sorted(set(values)), dtype=np.int64)
+
+
+_RUNS = st.lists(st.integers(-2**40, 2**40), max_size=60).map(_sorted_run)
+
+
+class TestSortedUnion:
+    @settings(max_examples=200, deadline=None)
+    @given(a=_RUNS, b=_RUNS, shape=st.sampled_from(
+        ["general", "empty", "disjoint", "identical", "one_sided"]))
+    def test_equals_union1d(self, a, b, shape):
+        import numpy as np
+        if shape == "empty":
+            a = b = a[:0]
+        elif shape == "disjoint":
+            b = b[~np.isin(b, a)]
+        elif shape == "identical":
+            b = a.copy()
+        elif shape == "one_sided":
+            b = b[:0]
+        for x, y in ((a, b), (b, a)):
+            got = sorted_union(x, y)
+            want = np.union1d(x, y)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    def test_union_apply_matches_union1d_pattern(self):
+        import numpy as np
+        a = NumericBackend(np.array([0, 0, 2]), np.array([1, 3, 0]),
+                           np.array([1.0, 2.0, 3.0]), (3, 4))
+        b = NumericBackend(np.array([0, 1, 2]), np.array([3, 1, 0]),
+                           np.array([5.0, 6.0, -3.0]), (3, 4))
+        rows, cols, vals = union_apply(a, b, np.add, 0.0, 0.0, 0.0, (3, 4))
+        # (2, 0) sums to the zero and is dropped.
+        assert rows.tolist() == [0, 0, 1]
+        assert cols.tolist() == [1, 3, 1]
+        assert vals.tolist() == [1.0, 7.0, 6.0]

@@ -154,3 +154,35 @@ class TestCsvTable:
         p.write_text(self.CSV)
         table = read_csv_table(p)
         assert "t1" in table
+
+
+class TestAtomicWrite:
+    def test_temp_file_is_fsynced_before_replace(self, tmp_path,
+                                                 monkeypatch):
+        import os
+        from repro.arrays import io as io_mod
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+        monkeypatch.setattr(io_mod.os, "fsync", lambda fd: (
+            events.append(("fsync", os.readlink(f"/proc/self/fd/{fd}"))),
+            real_fsync(fd))[1])
+        monkeypatch.setattr(io_mod.os, "replace", lambda src, dst: (
+            events.append(("replace", str(src))), real_replace(src, dst))[1])
+        target = tmp_path / "out.bin"
+        with io_mod.atomic_write(target, binary=True) as fh:
+            fh.write(b"\x00\x01")
+        assert target.read_bytes() == b"\x00\x01"
+        assert [kind for kind, _ in events] == ["fsync", "replace"]
+        assert events[0][1] == events[1][1]  # the temp file, then renamed
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+    def test_failure_removes_temp_and_keeps_target(self, tmp_path):
+        from repro.arrays.io import atomic_write
+        target = tmp_path / "keys.txt"
+        target.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_write(target, encoding="utf-8") as fh:
+                fh.write("new\n")
+                raise RuntimeError("boom")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["keys.txt"]

@@ -11,6 +11,7 @@ import pytest
 from repro.arrays import io as io_mod
 from repro.arrays.associative import AssociativeArray
 from repro.arrays.io import read_tsv_triples, write_tsv_triples
+from repro.arrays.keys import KeyError_
 from repro.cli import build_parser, main
 from repro.core.construction import adjacency_array
 from repro.graphs.digraph import EdgeKeyedDigraph, GraphError
@@ -934,3 +935,365 @@ class TestBuildCLI:
             build_parser().parse_args(["build", "a.tsv", "b.tsv",
                                        "-o", "c.tsv", "--kernel", "gpu"])
         assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# The coded shard format
+# ---------------------------------------------------------------------------
+
+def _write_numeric_pair(tmp_path, n_edges=2000, n_vertices=90, seed=3):
+    """A TSV incidence pair large enough for columnar shard arrays
+    (integer weights, so every ⊕ fold order is exact)."""
+    import random
+    rng = random.Random(seed)
+    out_lines, in_lines = [], []
+    for i in range(n_edges):
+        out_lines.append(f"e{i}\tv{rng.randrange(n_vertices)}\t"
+                         f"{rng.randrange(1, 9)}\n")
+        in_lines.append(f"e{i}\tv{rng.randrange(n_vertices)}\t"
+                        f"{rng.randrange(1, 9)}\n")
+    (tmp_path / "eout.tsv").write_text("".join(out_lines))
+    (tmp_path / "ein.tsv").write_text("".join(in_lines))
+    return tmp_path / "eout.tsv", tmp_path / "ein.tsv"
+
+
+def _batch(eout_path, ein_path, pair):
+    return adjacency_array(read_tsv_triples(eout_path, zero=pair.zero),
+                           read_tsv_triples(ein_path, zero=pair.zero), pair)
+
+
+class TestCodedShards:
+    @pytest.mark.parametrize("pair_name", ["plus_times", "min_plus",
+                                           "max_min"])
+    @pytest.mark.parametrize("backend", ["auto", "numeric"])
+    def test_large_coded_build_equals_batch(self, tmp_path, pair_name,
+                                            backend):
+        pair = get_op_pair(pair_name)
+        paths = _write_numeric_pair(tmp_path)
+        plan = ShardedAdjacencyPlan(pair, n_shards=3, backend=backend,
+                                    workdir=tmp_path / "work",
+                                    keep_workdir=True)
+        result = plan.run(paths)
+        assert result.manifest.format == "coded"
+        assert result.adjacency.backend == "numeric"
+        assert result.adjacency == _batch(*paths, pair)
+        assert not list((tmp_path / "work").rglob("*.pkl"))
+
+    def test_small_build_keeps_python_value_types(self, tmp_path):
+        """Tiny shards stay dict-backed end to end, exactly as the
+        ``"tsv"`` format builds them, so ints print as ints."""
+        (tmp_path / "eout.tsv").write_text("e1\ta\t2\ne2\ta\t3\ne3\tb\t5\n")
+        (tmp_path / "ein.tsv").write_text("e1\tb\t1\ne2\tb\t1\ne3\tc\t1\n")
+        pair = get_op_pair("plus_times")
+        outs = {}
+        for fmt in ("auto", "tsv"):
+            plan = ShardedAdjacencyPlan(pair, n_shards=2, shard_format=fmt)
+            result = plan.run((tmp_path / "eout.tsv", tmp_path / "ein.tsv"))
+            assert result.manifest.format == {"auto": "coded"}.get(fmt, fmt)
+            write_tsv_triples(result.adjacency, tmp_path / f"{fmt}.tsv")
+            outs[fmt] = (tmp_path / f"{fmt}.tsv").read_bytes()
+        assert outs["auto"] == outs["tsv"] == b"a\tb\t5\nb\tc\t5\n"
+
+    def test_auto_format_choice(self, tmp_path):
+        paths = _write_numeric_pair(tmp_path, n_edges=40)
+        pair = get_op_pair("plus_times")
+
+        def fmt(**options):
+            plan = ShardedAdjacencyPlan(pair, n_shards=2,
+                                        workdir=tmp_path / "w",
+                                        keep_workdir=True, overwrite=True,
+                                        **options)
+            return plan.partition(paths).format
+
+        # The choice depends on the input only, never on the options.
+        assert fmt() == "coded"
+        assert fmt(backend="dict") == "coded"
+        assert fmt(unsafe_ok=True) == "coded"
+        assert fmt(shard_format="tsv") == "tsv"
+        # Text values fall back to the "tsv" format.
+        (tmp_path / "eout.tsv").write_text("e1\ta\tx\n")
+        (tmp_path / "ein.tsv").write_text("e1\tb\t1\n")
+        assert fmt() == "tsv"
+        # "coded" is what "auto" resolves to, not a plan option.
+        with pytest.raises(ShardError, match="unknown shard format"):
+            ShardedAdjacencyPlan(pair, shard_format="coded")
+        with pytest.raises(ShardError, match="TSV incidence pairs"):
+            partition_edge_records([], 2, tmp_path / "recs",
+                                   shard_format="coded")
+
+    @pytest.mark.parametrize("flaw", ["mixed", "huge", "nonnumeric_zero"])
+    def test_fallback_to_tsv(self, tmp_path, flaw):
+        """A side mixing int and float texts, an int of 2⁵³ or more, or
+        a non-numeric zero: the partition is redone as ``"tsv"``."""
+        (tmp_path / "eout.tsv").write_text(
+            {"mixed": "e1\ta\t2\ne2\ta\t2.5\n",
+             "huge": f"e1\ta\t{2**53 + 1}\ne2\ta\t2\n",
+             "nonnumeric_zero": "e1\ta\t2\ne2\ta\t3\n"}[flaw])
+        (tmp_path / "ein.tsv").write_text("e1\tb\t1\ne2\tc\t1\n")
+        zero = "z" if flaw == "nonnumeric_zero" else 0
+        manifest = partition_tsv_pair(
+            tmp_path / "eout.tsv", tmp_path / "ein.tsv", 2,
+            tmp_path / "shards", shard_format="coded", zero=zero)
+        assert manifest.format == "tsv" and manifest.version == 1
+        assert sorted(p.name for p in (tmp_path / "shards").iterdir()) == [
+            "manifest.json", "shard_00000.ein.tsv", "shard_00000.eout.tsv",
+            "shard_00001.ein.tsv", "shard_00001.eout.tsv"]
+
+    def test_duplicate_coordinate_names_string_keys(self, tmp_path):
+        paths = _write_numeric_pair(tmp_path)
+        with paths[0].open("a") as fh:
+            fh.write("e7\tv3\t1\ne7\tv3\t2\n")
+        plan = ShardedAdjacencyPlan(get_op_pair("plus_times"), n_shards=2)
+        with pytest.raises(KeyError_, match=r"duplicate coordinate "
+                                            r"\('e7', 'v3'\)"):
+            plan.run(paths)
+
+    def test_layout(self, tmp_path):
+        import numpy as np
+        (tmp_path / "eout.tsv").write_text("e2\tzed\t2\ne1\tamy\t3\n")
+        (tmp_path / "ein.tsv").write_text("e1\tbo\t1\ne2\tbo\t4\n")
+        manifest = partition_tsv_pair(
+            tmp_path / "eout.tsv", tmp_path / "ein.tsv", 1,
+            tmp_path / "shards", shard_format="coded")
+        root = tmp_path / "shards"
+        doc = json.loads((root / "manifest.json").read_text())
+        assert doc["format"] == "coded" and doc["format_version"] == 2
+        assert doc["value_types"] == {"eout": "int", "ein": "int"}
+        assert (root / "keys.edge.txt").read_text() == "e1\ne2\n"
+        assert np.load(root / "rank.edge.npy").tolist() == [1, 0]
+        assert (root / "keys.out.txt").read_text() == "amy\nzed\n"
+        assert np.load(root / "rank.out.npy").tolist() == [1, 0]
+        records = np.fromfile(root / "shard_00000.eout.bin",
+                              dtype=[("row", "<i8"), ("col", "<i8"),
+                                     ("val", "<f8")])
+        assert records.tolist() == [(0, 0, 2.0), (1, 1, 3.0)]
+        assert manifest.shards[0].n_out_entries == 2
+
+    def test_set_executed_under_another_zero(self, tmp_path):
+        """A set partitioned for one zero and executed under a pair with
+        another drops the values equal to the new zero, as the ``"tsv"``
+        format's column build does."""
+        import random
+        from repro.shard.executor import vertex_keys
+        rng = random.Random(11)
+        for name in ("eout.tsv", "ein.tsv"):
+            (tmp_path / name).write_text("".join(
+                f"e{i}\tv{rng.randrange(40)}\t"
+                f"{'inf' if i % 7 == 0 else float(rng.randrange(1, 9))}\n"
+                for i in range(600)))
+        paths = (tmp_path / "eout.tsv", tmp_path / "ein.tsv")
+        min_plus = get_op_pair("min_plus")
+        got = {}
+        for fmt in ("coded", "tsv"):
+            manifest = partition_tsv_pair(*paths, 2, tmp_path / fmt,
+                                          shard_format=fmt, zero=0)
+            assert manifest.format == fmt
+            products = execute_shards(manifest, min_plus,
+                                      executor="serial")
+            got[fmt] = merge_spilled([p.path for p in products], min_plus,
+                                     keys=vertex_keys(manifest))
+        assert got["coded"] == got["tsv"]
+        assert got["coded"] == _batch(*paths, min_plus)
+
+    # -- damaged sets ---------------------------------------------------------
+    def _kept_set(self, tmp_path):
+        paths = _write_numeric_pair(tmp_path, n_edges=300)
+        return partition_tsv_pair(*paths, 2, tmp_path / "shards",
+                                  shard_format="coded")
+
+    def _execute(self, manifest):
+        return execute_shards(manifest, get_op_pair("plus_times"),
+                              executor="serial",
+                              workdir=manifest.root / "spill")
+
+    @pytest.mark.parametrize("cut", [7, 24])
+    def test_truncated_shard_file(self, tmp_path, cut):
+        """Mid-record and record-boundary truncations are both caught:
+        the first by the record size, the second by the manifest
+        count."""
+        manifest = self._kept_set(tmp_path)
+        path = manifest.shard_paths(manifest.shards[1])[0]
+        data = path.read_bytes()
+        path.write_bytes(data[:-cut])
+        match = "whole number" if cut % 24 else "manifest says"
+        with pytest.raises(ShardError, match=match) as exc:
+            self._execute(manifest)
+        assert str(path) in str(exc.value)
+        with pytest.raises(ShardError, match=match):
+            load_shard(manifest, manifest.shards[1])
+
+    @pytest.mark.parametrize("table", ["keys.out.txt", "rank.in.npy",
+                                       "keys.edge.txt", "rank.edge.npy"])
+    def test_missing_key_table(self, tmp_path, table):
+        manifest = self._kept_set(tmp_path)
+        (manifest.root / table).unlink()
+        with pytest.raises(ShardError, match="missing key table") as exc:
+            self._execute(manifest)
+        assert str(manifest.root / table) in str(exc.value)
+
+    def test_missing_key_table_on_load(self, tmp_path):
+        manifest = self._kept_set(tmp_path)
+        (manifest.root / "keys.edge.txt").unlink()
+        with pytest.raises(ShardError, match="missing key table"):
+            load_shard(manifest, manifest.shards[0])
+
+    @pytest.mark.parametrize("field", ["row", "col"])
+    def test_code_outside_key_table(self, tmp_path, field):
+        import numpy as np
+        manifest = self._kept_set(tmp_path)
+        path = manifest.shard_paths(manifest.shards[0])[1]
+        records = np.fromfile(path, dtype=[("row", "<i8"), ("col", "<i8"),
+                                           ("val", "<f8")])
+        records[field][3] = 10**6
+        records.tofile(path)
+        with pytest.raises(ShardError, match="outside its key table") as exc:
+            self._execute(manifest)
+        assert str(path) in str(exc.value)
+        with pytest.raises(ShardError, match="outside its key table"):
+            load_shard(manifest, manifest.shards[0])
+
+    def test_coded_manifest_needs_version_two(self, tmp_path):
+        manifest = self._kept_set(tmp_path)
+        doc = json.loads((manifest.root / "manifest.json").read_text())
+        doc["format_version"] = 1
+        (manifest.root / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(ShardError, match="format_version"):
+            ShardManifest.load(manifest.root)
+
+    # -- lifecycle ------------------------------------------------------------
+    def test_explicit_workdir_cleanup_removes_tables(self, tmp_path):
+        paths = _write_numeric_pair(tmp_path, n_edges=50)
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "mine.txt").write_text("keep")
+        ShardedAdjacencyPlan(get_op_pair("plus_times"), n_shards=2,
+                             workdir=work).run(paths)
+        assert [p.name for p in work.iterdir()] == ["mine.txt"]
+
+    def test_overwrite_replaces_tables_with_the_set(self, tmp_path):
+        paths = _write_numeric_pair(tmp_path, n_edges=50)
+        work = tmp_path / "work"
+        pair = get_op_pair("plus_times")
+        ShardedAdjacencyPlan(pair, n_shards=3, workdir=work,
+                             keep_workdir=True).run(paths)
+        ShardedAdjacencyPlan(pair, n_shards=2, workdir=work,
+                             keep_workdir=True, overwrite=True,
+                             shard_format="tsv").run(paths)
+        assert sorted(p.name for p in work.iterdir() if p.is_file()) == [
+            "manifest.json", "shard_00000.ein.tsv", "shard_00000.eout.tsv",
+            "shard_00001.ein.tsv", "shard_00001.eout.tsv"]
+
+    # -- no pickle on the coded path -----------------------------------------
+    def test_build_and_serve_coded_workdir_without_pickle(self, tmp_path,
+                                                          monkeypatch):
+        from repro.serve import AdjacencyService
+        paths = _write_numeric_pair(tmp_path)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("pickle used on the coded path")
+
+        monkeypatch.setattr(pickle, "load", refuse)
+        monkeypatch.setattr(pickle, "loads", refuse)
+        monkeypatch.setattr(pickle, "dump", refuse)
+        monkeypatch.setattr(pickle, "dumps", refuse)
+        out = tmp_path / "adj.tsv"
+        work = tmp_path / "work"
+        assert main(["build", str(paths[0]), str(paths[1]), "-o", str(out),
+                     "--workdir", str(work), "--quiet"]) == 0
+        assert ShardManifest.load(work).format == "coded"
+        assert not list(work.rglob("*.pkl"))
+        pair = get_op_pair("plus_times")
+        served = AdjacencyService.from_manifest(work).snapshot().adjacency
+        keys = (served.row_keys, served.col_keys)  # the vertex union
+        assert served == read_tsv_triples(out, zero=pair.zero).with_keys(
+            *keys)
+        assert served == _batch(*paths, pair).with_keys(*keys)
+
+    # -- the coded format serves every option --------------------------------
+    @pytest.mark.parametrize("pair_name", ["plus_times", "min_plus",
+                                           "max_min", "gcd_lcm",
+                                           "nat_plus_times"])
+    def test_dict_backend_on_coded_set(self, tmp_path, pair_name):
+        """``backend="dict"`` builds a coded set exactly as the
+        ``"tsv"`` format does, dict storage end to end."""
+        pair = get_op_pair(pair_name)
+        paths = _write_numeric_pair(tmp_path, n_edges=600)
+        got = {}
+        for fmt in ("auto", "tsv"):
+            result = ShardedAdjacencyPlan(
+                pair, n_shards=3, backend="dict", shard_format=fmt,
+                workdir=tmp_path / fmt, keep_workdir=True).run(paths)
+            assert result.manifest.format == {"auto": "coded"}.get(fmt, fmt)
+            assert result.adjacency.backend == "dict"
+            write_tsv_triples(result.adjacency, tmp_path / f"{fmt}.tsv")
+            got[fmt] = (tmp_path / f"{fmt}.tsv").read_bytes()
+        assert got["auto"] == got["tsv"]
+        assert not list((tmp_path / "auto").rglob("*.pkl"))
+
+    def test_service_from_coded_manifest_with_dict_backend(self, tmp_path):
+        from repro.serve import AdjacencyService
+        paths = _write_numeric_pair(tmp_path, n_edges=600)
+        work = tmp_path / "work"
+        assert main(["build", str(paths[0]), str(paths[1]), "-o",
+                     str(tmp_path / "adj.tsv"), "--workdir", str(work),
+                     "--quiet"]) == 0
+        assert ShardManifest.load(work).format == "coded"
+        pair = get_op_pair("plus_times")
+        served = AdjacencyService.from_manifest(
+            work, backend="dict").snapshot().adjacency
+        assert served.backend == "dict"
+        keys = (served.row_keys, served.col_keys)
+        assert served == _batch(*paths, pair).with_keys(*keys)
+
+    @pytest.mark.parametrize("pair_name,unsafe_ok", [
+        ("plus_times", False), ("skew_plus_times", True),
+        ("int_plus_times", True)])
+    @pytest.mark.parametrize("backend", ["auto", "numeric", "dict"])
+    def test_fold_order_matches_tsv(self, tmp_path, pair_name, unsafe_ok,
+                                    backend):
+        """Edges arrive out of key order and their products are summed
+        where the order shows (floats that cancel, a non-associative
+        ⊕): coded shards fold each shard's edges in key order, as the
+        ``"tsv"`` format does, so the output is byte-identical."""
+        import random
+        rng = random.Random(5)
+        order = list(range(900))
+        rng.shuffle(order)
+        weights = (1e16, 1.0, -1e16, 0.5, 3.25, -2.0)
+        out_lines, in_lines = [], []
+        for i in order:
+            out_lines.append(f"k{i}\tv{i % 4}\t{rng.choice(weights)}\n")
+            in_lines.append(f"k{i}\tw{i % 3}\t{rng.choice(weights)}\n")
+        (tmp_path / "eout.tsv").write_text("".join(out_lines))
+        (tmp_path / "ein.tsv").write_text("".join(in_lines))
+        paths = (tmp_path / "eout.tsv", tmp_path / "ein.tsv")
+        pair = get_op_pair(pair_name)
+        got = {}
+        for fmt in ("auto", "tsv"):
+            result = ShardedAdjacencyPlan(
+                pair, n_shards=3, backend=backend, shard_format=fmt,
+                unsafe_ok=unsafe_ok).run(paths)
+            assert result.manifest.format == {"auto": "coded"}.get(fmt, fmt)
+            write_tsv_triples(result.adjacency, tmp_path / f"{fmt}.tsv")
+            got[fmt] = (tmp_path / f"{fmt}.tsv").read_bytes()
+        assert got["auto"] == got["tsv"]
+
+    def test_hash_strategy_scales_linearly(self, tmp_path, monkeypatch):
+        """The hash assignment costs a lookup per key, not a copy of
+        every key seen so far per block: with many small blocks it
+        partitions about as fast as round-robin."""
+        import time
+        paths = _write_numeric_pair(tmp_path, n_edges=40000,
+                                    n_vertices=500)
+        monkeypatch.setattr(io_mod, "TSV_CHUNK_CHARS", 2048)  # ~300 blocks
+
+        def seconds(strategy):
+            best = float("inf")
+            for _ in range(2):
+                started = time.perf_counter()
+                partition_tsv_pair(*paths, 4, tmp_path / strategy,
+                                   shard_format="coded", strategy=strategy)
+                best = min(best, time.perf_counter() - started)
+            return best
+
+        assert seconds("hash") < 2.5 * seconds("round_robin") + 0.2
