@@ -143,7 +143,8 @@ class NumericBackend:
     """
 
     kind = "numeric"
-    __slots__ = ("rows", "cols", "vals", "shape", "_csr", "_csc", "_dict")
+    __slots__ = ("rows", "cols", "vals", "shape", "_csr", "_csc",
+                 "_csc_cols", "_dict")
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                  shape: Tuple[int, int], *, presorted: bool = False) -> None:
@@ -160,6 +161,7 @@ class NumericBackend:
         self._csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._csc: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray,
                                   np.ndarray]] = None
+        self._csc_cols: Optional[np.ndarray] = None
         self._dict: Optional[Dict[Tuple[Any, Any], Any]] = None
 
     # -- constructors ---------------------------------------------------------
@@ -210,6 +212,16 @@ class NumericBackend:
             self._csc = (self.vals[perm], self.rows[perm], indptr, perm)
         return self._csc
 
+    def csc_cols(self) -> np.ndarray:
+        """The column index of each entry in CSC order (``cols[perm]``
+        of :meth:`csc`), cached beside the CSC view so a masked gather
+        over it is one indexing step."""
+        if self._csc_cols is None:
+            indptr = self.csc()[2]
+            self._csc_cols = np.repeat(
+                np.arange(self.shape[1], dtype=np.int64), np.diff(indptr))
+        return self._csc_cols
+
     def to_dict(self, row_keys: Tuple[Any, ...],
                 col_keys: Tuple[Any, ...]) -> Dict[Tuple[Any, Any], Any]:
         """Materialise (and cache) the ``{(row, col): value}`` view."""
@@ -248,6 +260,7 @@ class NumericBackend:
         self.rows, self.cols, self.vals, self.shape = state
         self._csr = None
         self._csc = None
+        self._csc_cols = None
         self._dict = None
 
 

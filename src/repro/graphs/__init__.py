@@ -16,7 +16,7 @@ incidence arrays).  This package provides:
   triangles).
 """
 
-from repro.graphs.algorithms import khop_frontier
+from repro.graphs.algorithms import VertexValues, khop_frontier
 from repro.graphs.digraph import EdgeKeyedDigraph, GraphError
 from repro.graphs.incidence import (
     graph_from_incidence,
@@ -49,4 +49,5 @@ __all__ = [
     "complete_bipartite_graph",
     "random_incidence_values",
     "khop_frontier",
+    "VertexValues",
 ]

@@ -14,18 +14,21 @@ library constructs:
 * triangle counting on the undirected pattern;
 * degree arrays.
 
-Vectors are represented as plain ``{vertex: value}`` dicts with zeros
+Vectors are represented as ``{vertex: value}`` mappings with zeros
 elided, matching the sparse-array philosophy.  Internally every numeric
 ``x ⊕.⊗ A`` runs through one array-carried kernel (:func:`_vxm`);
-multi-hop algorithms carry ``(index, value)`` arrays between hops and
-build a dict only at the API boundary.
+multi-hop algorithms carry ``(index, value)`` arrays between hops, and
+k-hop frontiers and path lengths come back as :class:`VertexValues` —
+the final arrays behind a read-only mapping, so a served answer goes
+from the kernel to its JSON body without a per-vertex dict.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Any, Callable, Dict, Optional, Tuple
+from collections.abc import Mapping
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +38,7 @@ from repro.obs.trace import span
 from repro.values.equality import values_equal
 
 __all__ = [
+    "VertexValues",
     "semiring_vecmat",
     "khop_frontier",
     "bfs_levels",
@@ -82,6 +86,14 @@ def _vector_backend(adj: AssociativeArray, op_pair):
 PUSH_FRACTION = 4
 
 
+def _row_positions(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Positions of the CSR entries of the rows starting at ``starts``
+    with lengths ``lens``, row after row."""
+    ends = np.cumsum(lens)
+    return np.arange(int(ends[-1]) if ends.size else 0) + \
+        np.repeat(starts - (ends - lens), lens)
+
+
 def _vxm(nb, idx: np.ndarray, xv: np.ndarray,
          op_pair) -> Tuple[np.ndarray, np.ndarray]:
     """``y = x ⊕.⊗ A`` on ``(index, value)`` arrays — the one numeric
@@ -105,8 +117,7 @@ def _vxm(nb, idx: np.ndarray, xv: np.ndarray,
     lens = indptr[idx + 1] - starts
     total = int(lens.sum())
     if total * PUSH_FRACTION <= nb.nnz:
-        ends = np.cumsum(lens)
-        pos = np.arange(total) + np.repeat(starts - (ends - lens), lens)
+        pos = _row_positions(starts, lens)
         order = np.argsort(indices[pos], kind="stable")
         pos = pos[order]
         cols = indices[pos]
@@ -116,9 +127,9 @@ def _vxm(nb, idx: np.ndarray, xv: np.ndarray,
         xvals = np.zeros(nb.shape[0], dtype=np.float64)
         present[idx] = True
         xvals[idx] = xv
-        col_data, row_idx, _col_ptr, perm = nb.csc()
+        col_data, row_idx, _col_ptr, _perm = nb.csc()
         keep = present[row_idx]
-        cols = nb.cols[perm[keep]]
+        cols = nb.csc_cols()[keep]
         terms = op_pair.mul.ufunc(xvals[row_idx[keep]], col_data[keep])
     (cols,), vals = fold_grouped((cols,), terms, op_pair.add.ufunc)
     nonzero = vals != float(op_pair.zero)
@@ -147,18 +158,58 @@ def _frontier_arrays(vector: Dict[Any, Any], adj: AssociativeArray
     return idx_arr[order], np.asarray(xv, dtype=np.float64)[order]
 
 
-def _as_dict(idx: np.ndarray, vals: np.ndarray, keys) -> Dict[Any, Any]:
-    """``{keys[i]: value}`` with one float object per distinct value.
+class VertexValues(Mapping):
+    """An immutable ``{vertex: value}`` answer backed by two arrays.
 
-    Answers repeat values heavily (path lengths are small sums of
-    weights), and a served answer may sit in the query cache, so
-    sharing them shrinks what it holds.  Distinctness is by bit
-    pattern, which keeps ``-0.0`` apart from ``0.0``.
+    ``positions`` holds ascending positions into ``keyset`` (a
+    :class:`~repro.arrays.keys.KeySet`) and ``data`` the matching
+    float64 values; both arrays are made read-only, so an answer the
+    query cache hands to many readers cannot be changed under them.
+    Reading it as a mapping builds the dict once, on first use; code
+    that only needs the arrays (the HTTP encoder) never does.  Equality
+    with any mapping is by items, both ways round.
     """
-    bits, inverse = np.unique(vals.view(np.int64), return_inverse=True)
-    shared = bits.view(np.float64).tolist()
-    return dict(zip(map(keys.keys().__getitem__, idx.tolist()),
-                    map(shared.__getitem__, inverse.tolist())))
+
+    __slots__ = ("positions", "data", "keyset", "_dict")
+
+    def __init__(self, positions: np.ndarray, data: np.ndarray,
+                 keyset) -> None:
+        positions = np.asarray(positions, dtype=np.int64)
+        data = np.asarray(data, dtype=np.float64)
+        positions.flags.writeable = False
+        data.flags.writeable = False
+        self.positions = positions
+        self.data = data
+        self.keyset = keyset
+        self._dict: Optional[Dict[Any, float]] = None
+
+    def _items(self) -> Dict[Any, float]:
+        d = self._dict
+        if d is None:
+            d = dict(zip(map(self.keyset.keys().__getitem__,
+                             self.positions.tolist()),
+                         self.data.tolist()))
+            self._dict = d
+        return d
+
+    def __getitem__(self, key: Any) -> float:
+        return self._items()[key]
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._items())
+
+    def __len__(self) -> int:
+        return int(self.positions.size)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Mapping):
+            return self._items() == (other if isinstance(other, dict)
+                                     else dict(other.items()))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        # Prints as the dict it stands for, as answers always have.
+        return repr(self._items())
 
 
 def semiring_vecmat(
@@ -183,7 +234,9 @@ def semiring_vecmat(
     nb = _vector_backend(adj, op_pair)
     arrays = _frontier_arrays(vector, adj) if nb is not None else None
     if arrays is not None:
-        return _as_dict(*_vxm(nb, *arrays, op_pair), adj.col_keys)
+        cols, vals = _vxm(nb, *arrays, op_pair)
+        keys = adj.col_keys.keys()
+        return dict(zip(map(keys.__getitem__, cols.tolist()), vals.tolist()))
     terms: Dict[Any, list] = {}
     row_order = {k: i for i, k in enumerate(adj.row_keys)}
     items = sorted(((i, v) for i, v in vector.items() if i in row_order),
@@ -207,13 +260,14 @@ def khop_frontier(
     source: Any,
     k: int,
     op_pair,
-) -> Dict[Any, Any]:
+) -> Mapping:
     """The k-hop frontier ``x ⊕.⊗ Aᵏ`` from ``x = {source: 1}``.
 
-    ``k = 0`` returns the seed itself.  Over a square numeric-backed
-    adjacency the frontier stays as ``(index, value)`` arrays from hop
-    to hop (:func:`_vxm`), and stops early once it empties.  Other
-    inputs loop :func:`semiring_vecmat`; so do degenerate algebras
+    ``k = 0`` returns the seed itself, as a dict.  Over a square
+    numeric-backed adjacency the frontier stays as ``(index, value)``
+    arrays from hop to hop (:func:`_vxm`), stops early once it empties,
+    and comes back as :class:`VertexValues`.  Other inputs loop
+    :func:`semiring_vecmat` on dicts; so do degenerate algebras
     whose ``1`` equals their ``0``, where the seed vector is not
     sparse-representable.  A ``source`` outside the row key set reaches
     nothing.
@@ -233,16 +287,14 @@ def khop_frontier(
                 frontier = semiring_vecmat(frontier, adj, op_pair)
         return frontier
     pos = adj.row_keys.position_map().get(source)
-    if pos is None:
-        return {}
-    idx = np.array([pos], dtype=np.int64)
-    vals = np.array([float(op_pair.one)])
+    idx = np.array([] if pos is None else [pos], dtype=np.int64)
+    vals = np.full(idx.size, float(op_pair.one))
     with span("graphs.khop", k=k, kernel="vxm"):
         for _ in range(k):
             if not idx.size:
                 break
             idx, vals = _vxm(nb, idx, vals, op_pair)
-    return _as_dict(idx, vals, adj.col_keys)
+    return VertexValues(idx, vals, adj.col_keys)
 
 
 def bfs_levels(
@@ -254,18 +306,24 @@ def bfs_levels(
     """Breadth-first levels from ``source`` following edge direction.
 
     Works on the nonzero *pattern* (any value set): level 0 is the source,
-    level ``k`` the vertices first reached after ``k`` hops.
+    level ``k`` the vertices first reached after ``k`` hops.  Over a
+    numeric backend each level pushes the frontier through the CSR
+    rows with a visited mask (the pattern of ``∨.∧`` frontier
+    expansion); other inputs walk a successor dict.
     """
     _square_vertex_array(adj)
     if source not in adj.row_keys:
         raise GraphError(f"source {source!r} not a vertex")
+    limit = max_levels if max_levels is not None else len(adj.row_keys)
+    nb = _degree_backend(adj)
+    if nb is not None:
+        return _bfs_levels_csr(nb, adj.row_keys, source, limit)
     succ: Dict[Any, list] = {}
     for (r, c) in adj.nonzero_pattern():
         succ.setdefault(r, []).append(c)
     levels = {source: 0}
     frontier = [source]
     level = 0
-    limit = max_levels if max_levels is not None else len(adj.row_keys)
     while frontier and level < limit:
         level += 1
         nxt = []
@@ -278,17 +336,44 @@ def bfs_levels(
     return levels
 
 
+def _bfs_levels_csr(nb, keys, source: Any, limit: int) -> Dict[Any, int]:
+    """:func:`bfs_levels` over ``nb.csr()``: each level gathers the
+    frontier's CSR rows and keeps the unvisited targets."""
+    _data, indices, indptr = nb.csr()
+    level_of = np.full(len(keys), -1, dtype=np.int64)
+    frontier = np.array([keys.index(source)], dtype=np.int64)
+    level_of[frontier] = 0
+    level = 0
+    while frontier.size and level < limit:
+        level += 1
+        starts = indptr[frontier]
+        targets = indices[_row_positions(starts,
+                                         indptr[frontier + 1] - starts)]
+        frontier = np.unique(targets[level_of[targets] < 0])
+        level_of[frontier] = level
+    reached = np.flatnonzero(level_of >= 0)
+    order = np.argsort(level_of[reached], kind="stable")
+    reached = reached[order]
+    return dict(zip(map(keys.keys().__getitem__, reached.tolist()),
+                    level_of[reached].tolist()))
+
+
 def _relax(adj: AssociativeArray, source: Any, pair_name: str,
            seed: float, improves: Callable[[Any, Any], Any],
-           missing: float) -> Dict[Any, float]:
+           missing: float) -> Mapping:
     """Bellman–Ford-style relaxation to a fixpoint (≤ |V| rounds).
 
     Each round computes ``r = d ⊕.⊗ A`` over the op-pair ``pair_name``
-    from every vertex reached so far, and keeps ``r(v)`` wherever
-    ``improves(r(v), d(v))`` (an unreached vertex counts as
-    ``missing``).  Over a numeric-backed adjacency ``d`` lives in one
-    dense array and each round is one :func:`_vxm`; otherwise each
-    round is a reference :func:`semiring_vecmat` on dicts.
+    and keeps ``r(v)`` wherever ``improves(r(v), d(v))`` (an unreached
+    vertex counts as ``missing``).  Over a numeric-backed adjacency
+    ``d`` lives in one dense array, each round is one :func:`_vxm`
+    pushed from only the vertices whose value improved in the round
+    before (the source, first) — an unchanged vertex would offer the
+    same terms it already offered — and the answer is
+    :class:`VertexValues`.  Otherwise each round is a reference
+    :func:`semiring_vecmat` on dicts from every vertex reached so far.
+    Both reach the same fixpoint when one exists (no cycle keeps
+    improving, e.g. no negative ``min.+`` cycle).
     """
     _square_vertex_array(adj)
     if source not in adj.row_keys:
@@ -313,23 +398,24 @@ def _relax(adj: AssociativeArray, source: Any, pair_name: str,
     start = adj.row_keys.index(source)
     values[start] = seed
     reached[start] = True
+    changed = np.array([start], dtype=np.int64)
     with span("graphs.relax", pair=pair_name, kernel="vxm"):
         for _ in range(n):
-            idx = np.flatnonzero(reached)
-            cols, vals = _vxm(nb, idx, values[idx], op_pair)
+            cols, vals = _vxm(nb, changed, values[changed], op_pair)
             better = improves(vals, values[cols])
-            if not better.any():
+            changed = cols[better]
+            if not changed.size:
                 break
-            values[cols[better]] = vals[better]
-            reached[cols[better]] = True
+            values[changed] = vals[better]
+            reached[changed] = True
     idx = np.flatnonzero(reached)
-    return _as_dict(idx, values[idx], adj.row_keys)
+    return VertexValues(idx, values[idx], adj.row_keys)
 
 
 def shortest_path_lengths(
     adj: AssociativeArray,
     source: Any,
-) -> Dict[Any, float]:
+) -> Mapping:
     """Single-source shortest path lengths by ``min.+`` relaxation.
 
     ``adj`` holds non-negative edge weights (parallel edges should already
@@ -342,7 +428,7 @@ def shortest_path_lengths(
 def widest_path_widths(
     adj: AssociativeArray,
     source: Any,
-) -> Dict[Any, float]:
+) -> Mapping:
     """Maximum-bottleneck path widths by ``max.min`` relaxation.
 
     The Section IV reading of ``max.min``: each relaxation keeps, per

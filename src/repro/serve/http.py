@@ -34,6 +34,13 @@ The golden path for serving without importing library internals:
   "publish": false}``);
 * ``POST /publish`` — fold the buffered delta into the next epoch.
 
+Bodies are ``json.dumps(jsonable(payload))``, byte for byte.  A k-hop
+frontier or path-length answer (:class:`~repro.graphs.algorithms.
+VertexValues`) is written straight from its position and value arrays:
+each vertex key's ``"key": `` fragment is encoded once per key set and
+reused, and finite values go through ``float.__repr__`` as
+``json.dumps`` would, so no per-vertex dict is built.
+
 ``ThreadingHTTPServer`` handles each request on its own thread, which
 is exactly what the snapshot-isolation design is for: every request
 reads one immutable snapshot reference and never blocks on ingest.
@@ -51,9 +58,13 @@ import json
 import math
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
+import numpy as np
+
+from repro.graphs.algorithms import VertexValues
 from repro.obs.events import emit_event, get_event_log
 from repro.obs.metrics import (LATENCY_BUCKETS_WIDE, get_registry,
                                install_process_gauges, render_prometheus)
@@ -84,7 +95,7 @@ def jsonable(value: Any) -> Any:
         if math.isnan(value):
             return "nan"
         return "inf" if value > 0 else "-inf"
-    if isinstance(value, dict):
+    if isinstance(value, (dict, VertexValues)):
         return {_key(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
@@ -94,6 +105,65 @@ def jsonable(value: Any) -> Any:
 def _key(key: Any) -> Any:
     """JSON object keys must be strings; non-string vertices stringify."""
     return key if isinstance(key, str) else str(key)
+
+
+class BodyEncoder:
+    """Writes response bodies: ``json.dumps(jsonable(doc))``, byte for
+    byte, with :class:`VertexValues` answers written from their arrays.
+
+    Keeps the ``"key": `` fragments of the key set it encoded last —
+    the live snapshot's, until a publication changes the vertex set.
+    Each server owns one; concurrent handlers that race on a new key
+    set both build its fragments, and either result is correct.
+    """
+
+    def __init__(self) -> None:
+        self._fragments: Tuple[Any, Optional[List[str]]] = (None, None)
+
+    def key_fragments(self, keys) -> Optional[List[str]]:
+        """``json.dumps(_key(k)) + ": "`` for each key of the key set
+        ``keys``, in key order; built once per key set.
+
+        ``None`` when two keys stringify alike: :func:`jsonable` would
+        merge them into one JSON key, which a per-position fragment
+        cannot.
+        """
+        cached_keys, frags = self._fragments   # one atomic read
+        if cached_keys is keys:
+            return frags
+        texts = [_key(k) for k in keys]
+        # The string encoder json.dumps itself uses (ensure_ascii=True).
+        frags = [encode_basestring_ascii(t) + ": " for t in texts] \
+            if len(set(texts)) == len(texts) else None
+        self._fragments = (keys, frags)
+        return frags
+
+    def _answer(self, answer: VertexValues) -> str:
+        frags = self.key_fragments(answer.keyset) if len(answer) else None
+        if frags is None:
+            return json.dumps(jsonable(answer))
+        values = answer.data.tolist()
+        texts = map(float.__repr__, values) \
+            if np.isfinite(answer.data).all() \
+            else (json.dumps(jsonable(v)) for v in values)
+        return "{" + ", ".join(map(str.__add__,
+                                   map(frags.__getitem__,
+                                       answer.positions.tolist()),
+                                   texts)) + "}"
+
+    def encode(self, doc: Any) -> bytes:
+        """``json.dumps(jsonable(doc)).encode("utf-8")``; the
+        :class:`VertexValues` values of a top-level object (a query
+        answer's ``"result"``) are written without a dict."""
+        if isinstance(doc, dict) and any(isinstance(v, VertexValues)
+                                         for v in doc.values()):
+            text = "{" + ", ".join(
+                json.dumps(_key(k)) + ": "
+                + (self._answer(v) if isinstance(v, VertexValues)
+                   else json.dumps(jsonable(v)))
+                for k, v in doc.items()) + "}"
+            return text.encode("utf-8")
+        return json.dumps(jsonable(doc)).encode("utf-8")
 
 
 def _coerce_vertex(service: AdjacencyService, text: str) -> Any:
@@ -121,6 +191,7 @@ class _Handler(BaseHTTPRequestHandler):
     """One request; the service rides on the handler class."""
 
     service: AdjacencyService  # injected by build_server
+    encoder: BodyEncoder       # injected by build_server
     quiet: bool = True
     log_events: bool = False
     protocol_version = "HTTP/1.1"
@@ -145,8 +216,8 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(fmt, *args)
 
     def _send(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(jsonable(payload)).encode("utf-8")
-        self._send_bytes(status, body, "application/json")
+        self._send_bytes(status, self.encoder.encode(payload),
+                         "application/json")
 
     def _send_text(self, status: int, text: str,
                    content_type: str = "text/plain; version=0.0.4") -> None:
@@ -437,8 +508,8 @@ def build_server(
     # gauges join the global registry so GET /metrics reports them.
     install_process_gauges()
     handler = type("AdjacencyHandler", (_Handler,),
-                   {"service": service, "quiet": quiet,
-                    "log_events": log_events})
+                   {"service": service, "encoder": BodyEncoder(),
+                    "quiet": quiet, "log_events": log_events})
     server = ThreadingHTTPServer((host, port), handler)
     server.daemon_threads = True
     return server

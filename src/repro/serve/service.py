@@ -25,7 +25,10 @@ that is safe to share across reader threads while edges keep arriving:
   ``(epoch, query)`` (:class:`~repro.serve.cache.QueryCache`), so the
   cache can never serve a stale epoch; publication invalidates
   superseded entries.  Hit/miss/latency counters surface through the
-  ``stats`` query.
+  ``stats`` query.  k-hop and path-length answers over a numeric
+  snapshot are cached as read-only
+  :class:`~repro.graphs.algorithms.VertexValues` arrays, which the
+  HTTP front end writes to JSON without building a dict.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 from repro.arrays.associative import AssociativeArray
 from repro.arrays.io import read_tsv_columns
@@ -508,20 +511,22 @@ class AdjacencyService:
         return self.query("degrees", **params)["result"]
 
     def khop(self, vertex: Any, k: int, *,
-             pair: Optional[str] = None) -> Dict[Any, Any]:
+             pair: Optional[str] = None) -> Mapping:
         """The ``k``-hop frontier ``x ⊕.⊗ Aᵏ`` from ``vertex``.
 
         ``pair`` names an alternative certified op-pair to fold under
         (default: the service's own); the seed vector is ``{vertex:
-        one}``.
+        one}``.  A read-only ``{vertex: value}`` mapping (see
+        :func:`~repro.graphs.algorithms.khop_frontier`).
         """
         params: Dict[str, Any] = {"vertex": vertex, "k": k}
         if pair is not None:
             params["pair"] = pair
         return self.query("khop", **params)["result"]
 
-    def path_lengths(self, vertex: Any) -> Dict[Any, float]:
-        """Single-source shortest path lengths (``min.+`` relaxation)."""
+    def path_lengths(self, vertex: Any) -> Mapping:
+        """Single-source shortest path lengths (``min.+`` relaxation),
+        as a read-only ``{vertex: length}`` mapping."""
         return self.query("path_lengths", vertex=vertex)["result"]
 
     def top_k(self, k: int = 10) -> Any:

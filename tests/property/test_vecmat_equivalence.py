@@ -8,7 +8,12 @@ through the CSC view.  The dict-backed adjacency (pinned to
 running the same query on both backends — with the kernel pinned to
 each direction — checks its fold order and zero elision against the
 reference: k-hop frontiers for ``k = 0..3`` over every certified
-numeric op-pair, and the ``min.+`` / ``max.min`` relaxations.
+numeric op-pair, and the ``min.+`` / ``max.min`` relaxations — also on
+non-integral weights, where the numeric relaxation, which pushes only
+the vertices that improved in the round before, must reach the same
+floats as the reference, which pushes every reached vertex each round.
+BFS levels over the CSR view are checked against the dict loop the
+same way, with and without ``max_levels``.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from hypothesis import strategies as st
 from repro.arrays.associative import AssociativeArray
 from repro.graphs import algorithms
 from repro.graphs.algorithms import (
+    bfs_levels,
     khop_frontier,
     semiring_vecmat,
     shortest_path_lengths,
@@ -35,14 +41,15 @@ COMMON = dict(deadline=None,
 
 
 @st.composite
-def square_adjacency(draw, zero: float, max_dim: int = 9):
-    """A square array over ``v0..v{n-1}`` with values in 1..9, and a
-    source vertex."""
+def square_adjacency(draw, zero: float, max_dim: int = 9,
+                     weights=st.integers(1, 9)):
+    """A square array over ``v0..v{n-1}`` with values drawn from
+    ``weights`` (default 1..9), and a source vertex."""
     n = draw(st.integers(1, max_dim))
     verts = [f"v{i}" for i in range(n)]
     entries = draw(st.dictionaries(
         st.tuples(st.sampled_from(verts), st.sampled_from(verts)),
-        st.integers(1, 9), max_size=n * n))
+        weights, max_size=n * n))
     adj = AssociativeArray({rc: float(v) for rc, v in entries.items()},
                            row_keys=verts, col_keys=verts, zero=zero)
     return adj, draw(st.sampled_from(verts))
@@ -110,3 +117,47 @@ def test_widest_path_widths_matches_reference(case):
         with _direction(fraction):
             got = widest_path_widths(adj.with_backend("numeric"), source)
         assert got == want
+
+
+#: Sevenths: sums of them round differently depending on the order they
+#: are added in, so a relaxation that settled a vertex through another
+#: path (or stopped a round early) shows up as an unequal float.
+FRACTIONAL = st.integers(1, 60).map(lambda w: w / 7)
+
+
+@settings(max_examples=60, **COMMON)
+@given(case=square_adjacency(zero=float(get_op_pair("min_plus").zero),
+                             max_dim=12, weights=FRACTIONAL))
+def test_shortest_path_lengths_fractional_weights(case):
+    adj, source = case
+    want = shortest_path_lengths(adj.with_backend("dict"), source)
+    for fraction in DIRECTIONS:
+        with _direction(fraction):
+            got = shortest_path_lengths(adj.with_backend("numeric"), source)
+        assert got == want and want == got
+        assert list(got) == [v for v in adj.row_keys if v in want]
+
+
+@settings(max_examples=60, **COMMON)
+@given(case=square_adjacency(zero=float(get_op_pair("max_min").zero),
+                             max_dim=12, weights=FRACTIONAL))
+def test_widest_path_widths_fractional_weights(case):
+    adj, source = case
+    want = widest_path_widths(adj.with_backend("dict"), source)
+    for fraction in DIRECTIONS:
+        with _direction(fraction):
+            got = widest_path_widths(adj.with_backend("numeric"), source)
+        assert got == want and want == got
+
+
+@settings(max_examples=60, **COMMON)
+@given(case=square_adjacency(zero=0.0, max_dim=12),
+       max_levels=st.one_of(st.none(), st.integers(0, 4)))
+def test_bfs_levels_csr_matches_dict_loop(case, max_levels):
+    adj, source = case
+    want = bfs_levels(adj.with_backend("dict"), source,
+                      max_levels=max_levels)
+    got = bfs_levels(adj.with_backend("numeric"), source,
+                     max_levels=max_levels)
+    assert got == want
+    assert list(got.values()) == sorted(got.values())

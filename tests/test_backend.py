@@ -105,6 +105,13 @@ class TestPersistence:
         assert back.backend == "numeric"
         assert back.numeric_backend()._csr is None
 
+    def test_pickle_round_trip_drops_csc_column_index(self):
+        nb = _numeric_array().with_backend("numeric").numeric_backend()
+        nb.csc_cols()
+        back = pickle.loads(pickle.dumps(nb))
+        assert back._csc is None and back._csc_cols is None
+        assert back.csc_cols().tolist() == nb.csc_cols().tolist()
+
     def test_pickle_round_trip_dict_pinned(self):
         a = _numeric_array().with_backend("dict")
         back = pickle.loads(pickle.dumps(a))
@@ -141,6 +148,15 @@ class TestNumericStructuralOps:
         a = _numeric_array().with_backend("numeric")
         assert list(a.rows_nonempty()) == ["r0", "r2"]
         assert list(a.cols_nonempty()) == ["c0", "c1", "c2"]
+
+    def test_csc_column_index_is_cols_in_csc_order(self):
+        nb = _numeric_array().with_backend("numeric").numeric_backend()
+        data, rows, indptr, perm = nb.csc()
+        cols = nb.csc_cols()
+        assert cols.tolist() == nb.cols[perm].tolist() == [0, 1, 2]
+        assert nb.csc_cols() is cols          # cached beside the view
+        assert nb.csc() == (data, rows, indptr, perm)
+        assert nb.transposed().rows.tolist() == cols.tolist()
 
     def test_infinity_zero_round_trip(self):
         a = AssociativeArray({("r", "c"): 3.0}, zero=-math.inf,

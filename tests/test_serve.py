@@ -134,6 +134,22 @@ class TestQueries:
         assert svc.path_lengths("alice") == \
             {"alice": 0.0, "bob": 2.0, "carol": 1.5}
 
+    def test_array_backed_answers_print_as_dicts(self):
+        arr = AssociativeArray({("alice", "bob"): 2.0,
+                                ("bob", "carol"): 3.0,
+                                ("alice", "carol"): 1.5,
+                                ("dave", "alice"): 1.0}
+                               ).with_backend("numeric")
+        svc = AdjacencyService(PAIR, initial=arr)
+        assert str(svc.khop("alice", 0)) == "{'alice': 1}"
+        assert str(svc.khop("alice", 1)) == "{'bob': 2.0, 'carol': 1.5}"
+        assert str(svc.khop("alice", 2, pair="min_plus")) == \
+            "{'carol': 5.0}"
+        assert str(svc.path_lengths("alice")) == \
+            "{'alice': 0.0, 'bob': 2.0, 'carol': 1.5}"
+        assert svc.path_lengths("alice") == small_service().path_lengths(
+            "alice")
+
     def test_top_k(self):
         svc = small_service()
         assert svc.top_k(2) == [["bob", "carol", 3.0],

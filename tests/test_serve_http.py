@@ -297,6 +297,86 @@ class TestJsonSafety:
             thread.join(timeout=10)
 
 
+@pytest.fixture()
+def numeric_server():
+    """A live server over a numeric-backed adjacency, so k-hop and
+    path-length answers are array-backed; ``d`` and ``é"x`` are not
+    reachable from ``a``.  Yields the base URL."""
+    from repro.arrays.associative import AssociativeArray
+    arr = AssociativeArray({("a", "b"): 2.0, ("b", "c"): 3.0,
+                            ("a", "c"): 1.5, ("c", "a"): 0.25,
+                            ("d", "a"): 1.0, ("d", 'é"x'): 7.0}
+                           ).with_backend("numeric")
+    svc = AdjacencyService(PAIR, initial=arr)
+    httpd = build_server(svc, "127.0.0.1", 0)
+    thread = threading.Thread(
+        target=lambda: httpd.serve_forever(poll_interval=0.05),
+        daemon=True)
+    thread.start()
+    host, port = httpd.server_address[:2]
+    try:
+        yield f"http://{host}:{port}"
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=10)
+
+
+def get_bytes(url: str, path: str) -> bytes:
+    with urllib.request.urlopen(url + path, timeout=30) as resp:
+        return resp.read()
+
+
+class TestArrayBackedBodies:
+    """Bodies of array-backed answers, byte for byte as they were when
+    answers were dicts run through ``json.dumps(jsonable(...))``."""
+
+    def test_khop_seed_and_frontiers(self, numeric_server):
+        url = numeric_server
+        assert get_bytes(url, "/query/khop?vertex=a&k=0") == (
+            b'{"epoch": 0, "kind": "khop", "cached": false, '
+            b'"result": {"a": 1}}')
+        body = (b'{"epoch": 0, "kind": "khop", "cached": false, '
+                b'"result": {"a": 0.375, "c": 6.0}}')
+        assert get_bytes(url, "/query/khop?vertex=a&k=2") == body
+        assert get_bytes(url, "/query/khop?vertex=a&k=2") == \
+            body.replace(b"false", b"true")
+        assert get_bytes(url, "/query/khop?vertex=b&k=3") == (
+            b'{"epoch": 0, "kind": "khop", "cached": false, '
+            b'"result": {"b": 1.5, "c": 1.125}}')
+
+    def test_khop_with_pair(self, numeric_server):
+        url = numeric_server
+        assert get_bytes(url, "/query/khop?vertex=a&k=2&pair=min_plus") \
+            == (b'{"epoch": 0, "kind": "khop", "cached": false, '
+                b'"result": {"a": 1.75, "c": 5.0}}')
+        assert get_bytes(url, "/query/khop?vertex=d&k=1&pair=max_min") \
+            == (b'{"epoch": 0, "kind": "khop", "cached": false, '
+                b'"result": {"a": 1.0, "\\u00e9\\"x": 7.0}}')
+
+    def test_path_lengths_leave_out_unreachable_vertices(self,
+                                                         numeric_server):
+        url = numeric_server
+        assert get_bytes(url, "/query/path_lengths?vertex=a") == (
+            b'{"epoch": 0, "kind": "path_lengths", "cached": false, '
+            b'"result": {"a": 0.0, "b": 2.0, "c": 1.5}}')
+        assert get_bytes(url, "/query/path-lengths?vertex=d") == (
+            b'{"epoch": 0, "kind": "path_lengths", "cached": false, '
+            b'"result": {"a": 1.0, "b": 3.0, "c": 2.5, "d": 0.0, '
+            b'"\\u00e9\\"x": 7.0}}')
+
+    def test_query_cli_prints_the_same_document(self, numeric_server,
+                                                 capsys):
+        from repro.cli import main
+        url = numeric_server
+        assert main(["query", "path-lengths", "d", "--url", url]) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "cached": false,\n  "epoch": 0,\n'
+            '  "kind": "path_lengths",\n  "result": {\n'
+            '    "a": 1.0,\n    "b": 3.0,\n    "c": 2.5,\n'
+            '    "d": 0.0,\n    "\\u00e9\\"x": 7.0\n  }\n}\n')
+
+
 class TestConcurrentHTTP:
     def test_readers_during_publication(self, server):
         """HTTP readers across epoch publications: consistent envelopes."""
